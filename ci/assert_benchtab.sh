@@ -11,15 +11,16 @@
 #   base       — obs counters present on every run; scheme-specific
 #                counters on the right schemes
 #   percpu     — per-CPU driver counters present, non-zero, and
-#                reconciling with the aggregates (needs -cpus 2)
+#                reconciling with the aggregates (needs -cpus 2); no
+#                stall escapes
 #   transports — per-transport counters for every swept backend
 #                (set TRANSPORTS, default "tcp unix ring")
 #   dmi        — DMI/coalesce ablation: hits iff granted, message
 #                reduction, per-CPU reconciliation, identical
-#                functional outcome across cells
+#                functional outcome across cells, no stall escapes
 #   quantum    — quantum ablation: syncs iff decoupled, identical
 #                forwarded/message totals across cells, per-CPU
-#                reconciliation
+#                reconciliation, no stall escapes
 set -euo pipefail
 
 suite=${1:?usage: assert_benchtab.sh SUITE REPORT.json}
@@ -33,6 +34,13 @@ fail() {
 # jqe EXPR MESSAGE — assert that EXPR evaluates truthy over the report.
 jqe() {
   jq -e "$1" "$report" > /dev/null || fail "$2"
+}
+
+# no_stall_escapes — no Driver-Kernel skew wait gave up on its
+# wall-clock timeout in any run (absent counter = GDB scheme = 0).
+no_stall_escapes() {
+  jqe '[.runs[] | (.counters["driver.stall_escapes"] // 0) == 0] | all' \
+    "a run recorded driver.stall_escapes > 0"
 }
 
 case $suite in
@@ -70,6 +78,7 @@ percpu)
         | .["driver.messages"] == .["driver.cpu0.messages"] + .["driver.cpu1.messages"]]
        | all' \
     "aggregate driver.messages does not equal the per-CPU sum"
+  no_stall_escapes
   ;;
 
 transports)
@@ -111,6 +120,7 @@ dmi)
   # Every cell agrees on the functional outcome.
   jqe '[.runs[].forwarded] | unique | length == 1' \
     "ablation cells disagree on forwarded packets"
+  no_stall_escapes
   ;;
 
 quantum)
@@ -137,15 +147,7 @@ quantum)
          | all" \
       "aggregate driver.$metric does not equal the per-CPU sum"
   done
-  # Decoupling enables sharded cluster evaluation, and the method-style
-  # forwarding engines give it a multi-cluster topology to engage on:
-  # every decoupled cell must have executed sharded rounds.
-  jqe '[.runs[] | select(.quantum != null)
-        | (.counters["sim.cluster_merges"] // 0) > 0] | all' \
-    "decoupled cells recorded no sharded cluster merges"
-  jqe '[.runs[] | select(.quantum == null)
-        | (.counters["sim.cluster_merges"] // 0) == 0] | all' \
-    "lock-step cell recorded sharded cluster merges"
+  no_stall_escapes
   ;;
 
 *)

@@ -1,7 +1,7 @@
 // Command cosimvet runs the repository's domain-specific static
 // analyzers (poolsafe, timesafe, obsnames, schemeerr, lockedfield,
-// transportclose, ctxfirst, and the interprocedural lockorder, shardfx,
-// detsafe) over module packages and exits non-zero if any rule fires.
+// transportclose, ctxfirst, detsafe, and the interprocedural lockorder)
+// over module packages and exits non-zero if any rule fires.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Package callgraph builds a conservative per-package call graph plus a
-// per-function lock-acquisition summary, the shared substrate for the
-// interprocedural cosimvet analyzers (lockorder, shardfx, detsafe).
+// per-function lock-acquisition summary, the substrate for the
+// interprocedural lockorder analyzer.
 //
 // The graph is deliberately over-approximate where Go's dynamism makes
 // precise resolution impossible without whole-program analysis:
@@ -16,12 +16,11 @@
 //
 // Over-approximation is the safe direction for the checks built on top:
 // a spurious edge can at worst produce a suppressible false positive,
-// while a missing edge would silently hide a real lock-order inversion
-// or a sharded-round effect leak. Calls that cannot be resolved at all
-// (cross-package calls, function values received from outside the
-// package) produce no edge; the analyzers that care layer their own
-// cross-package approximations on top (see lockorder's class-owner
-// method rule).
+// while a missing edge would silently hide a real lock-order inversion.
+// Calls that cannot be resolved at all (cross-package calls, function
+// values received from outside the package) produce no edge; the
+// analyzers that care layer their own cross-package approximations on
+// top (see lockorder's class-owner method rule).
 //
 // The lock summary records, per function body, the ordered Lock/RLock
 // and Unlock/RUnlock events on named mutex classes — sync.Mutex or
@@ -91,9 +90,6 @@ type Edge struct {
 // Node is one function body: a declared function or method, or a
 // function literal.
 type Node struct {
-	Fn   *types.Func   // nil for function literals
-	Decl *ast.FuncDecl // nil for function literals
-	Lit  *ast.FuncLit  // nil for declared functions
 	Body *ast.BlockStmt
 	Name string // "Type.Method", "Func", or "Parent.func@line"
 
@@ -114,20 +110,6 @@ type Graph struct {
 	// byMethodName maps a method name to every package-local method
 	// bearing it, the dynamic-dispatch over-approximation.
 	byMethodName map[string][]*Node
-}
-
-// Lookup returns the node for a declared function or method, or nil.
-func (g *Graph) Lookup(fn *types.Func) *Node { return g.byFn[fn] }
-
-// NodeFor returns the node for a function declaration, or nil.
-func (g *Graph) NodeFor(decl *ast.FuncDecl) *Node {
-	if decl == nil {
-		return nil
-	}
-	if obj, ok := g.pass.TypesInfo.Defs[decl.Name].(*types.Func); ok {
-		return g.byFn[obj]
-	}
-	return nil
 }
 
 // Build constructs the call graph and lock summaries for one package.
@@ -162,7 +144,7 @@ func (g *Graph) collectNodes() {
 			if recv := analysis.ReceiverTypeName(fd); recv != "" {
 				name = recv + "." + name
 			}
-			n := &Node{Fn: fn, Decl: fd, Body: fd.Body, Name: name}
+			n := &Node{Body: fd.Body, Name: name}
 			g.Nodes = append(g.Nodes, n)
 			if fn != nil {
 				g.byFn[fn] = n
@@ -174,7 +156,6 @@ func (g *Graph) collectNodes() {
 			ast.Inspect(fd.Body, func(x ast.Node) bool {
 				if lit, ok := x.(*ast.FuncLit); ok {
 					ln := &Node{
-						Lit:  lit,
 						Body: lit.Body,
 						Name: parent + ".func@" + itoa(g.pass.Fset.Position(lit.Pos()).Line),
 					}

@@ -43,6 +43,7 @@ var PerCPUMetrics = map[string]bool{
 	"messages":        true,
 	"interrupts":      true,
 	"skew_waits":      true,
+	"stall_escapes":   true,
 	"pending_reads":   true,
 	"dmi_hits":        true,
 	"dmi_misses":      true,

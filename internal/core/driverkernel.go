@@ -163,6 +163,7 @@ type driverObs struct {
 	interrupts   *obs.Counter
 	skewWaits    *obs.Counter
 	skewWaitNS   *obs.Histogram
+	stallEscapes *obs.Counter
 	pendingReads *obs.Gauge
 
 	dmiHits        *obs.Counter
@@ -182,6 +183,7 @@ func (o *driverObs) init(r *obs.Registry) {
 	o.interrupts = r.Counter("driver.interrupts")
 	o.skewWaits = r.Counter("driver.skew_waits")
 	o.skewWaitNS = r.Histogram("driver.skew_wait_ns")
+	o.stallEscapes = r.Counter("driver.stall_escapes")
 	o.pendingReads = r.Gauge("driver.pending_reads")
 	o.dmiHits = r.Counter("driver.dmi_hits")
 	o.dmiMisses = r.Counter("driver.dmi_misses")
@@ -194,9 +196,10 @@ func (o *driverObs) init(r *obs.Registry) {
 // published next to the aggregates so multi-CPU runs show per-processor
 // traffic, skew-wait stalls and interrupt fan-out in `benchtab -json`.
 type driverCPUObs struct {
-	messages   *obs.Counter
-	interrupts *obs.Counter
-	skewWaits  *obs.Counter
+	messages     *obs.Counter
+	interrupts   *obs.Counter
+	skewWaits    *obs.Counter
+	stallEscapes *obs.Counter
 
 	dmiHits        *obs.Counter
 	dmiMisses      *obs.Counter
@@ -216,6 +219,7 @@ func (o *driverCPUObs) init(r *obs.Registry, id int) {
 	o.messages = r.Counter(fmt.Sprintf("driver.cpu%d.messages", id))
 	o.interrupts = r.Counter(fmt.Sprintf("driver.cpu%d.interrupts", id))
 	o.skewWaits = r.Counter(fmt.Sprintf("driver.cpu%d.skew_waits", id))
+	o.stallEscapes = r.Counter(fmt.Sprintf("driver.cpu%d.stall_escapes", id))
 	o.dmiHits = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_hits", id))
 	o.dmiMisses = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_misses", id))
 	o.dmiRevocations = r.Counter(fmt.Sprintf("driver.cpu%d.dmi_revocations", id))
@@ -738,8 +742,12 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 					break wait
 				}
 			case <-timer.C:
-				// Give up on this request; don't stall the simulation.
+				// Give up on this request; don't stall the simulation,
+				// but count the escape: the skew bound no longer holds.
 				c.outstanding = false
+				d.stats.StallEscapes++
+				d.obs.stallEscapes.Inc()
+				c.obs.stallEscapes.Inc()
 				break wait
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cosim/internal/obs"
 	"cosim/internal/sim"
 )
 
@@ -108,10 +109,13 @@ func newTestDriverKernel(t *testing.T, opts DriverKernelOptions) (*sim.Kernel, *
 // TestSkewWaitIgnoresStaleNotify is the regression test for the stale
 // wake-up token bug: a token left in d.notify by messages that were
 // already drained in a prior cycle must not satisfy the conservative
-// skew wait — the wait may only wake on genuinely new data.
+// skew wait — the wait may only wake on genuinely new data. The wait
+// then gives up on the wall-clock timeout, which must be counted as
+// exactly one stall escape.
 func TestSkewWaitIgnoresStaleNotify(t *testing.T) {
+	reg := obs.NewRegistry()
 	k, d, _ := newTestDriverKernel(t, DriverKernelOptions{
-		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS},
+		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS, Obs: reg},
 	})
 	d.waitTimeout = 100 * time.Millisecond
 	advanceKernel(t, k, sim.US) // push Now() past outSince+skewBound
@@ -133,13 +137,30 @@ func TestSkewWaitIgnoresStaleNotify(t *testing.T) {
 	if d.err != nil {
 		t.Fatalf("unexpected scheme error: %v", d.err)
 	}
+	assertStallEscapes(t, d, reg, 1)
+}
+
+// assertStallEscapes checks the stall-escape count in the scheme stats
+// and in both the aggregate and the per-CPU obs counters.
+func assertStallEscapes(t *testing.T, d *DriverKernel, reg *obs.Registry, want uint64) {
+	t.Helper()
+	if got := d.stats.StallEscapes; got != want {
+		t.Errorf("Stats.StallEscapes = %d, want %d", got, want)
+	}
+	for _, name := range []string{"driver.stall_escapes", "driver.cpu0.stall_escapes"} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 }
 
 // TestSkewWaitWakesOnFreshMessage is the counterpart: a message that
-// arrives during the wait must wake it early and be processed.
+// arrives during the wait must wake it early and be processed, with no
+// stall escape.
 func TestSkewWaitWakesOnFreshMessage(t *testing.T) {
+	reg := obs.NewRegistry()
 	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
-		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS},
+		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS, Obs: reg},
 		Ports:         []VarBinding{{Port: "in", Dir: ToSystemC, Size: 4}},
 	})
 	d.waitTimeout = 2 * time.Second
@@ -167,6 +188,7 @@ func TestSkewWaitWakesOnFreshMessage(t *testing.T) {
 	if d.stats.Messages == 0 {
 		t.Fatal("the waking message was not processed")
 	}
+	assertStallEscapes(t, d, reg, 0)
 }
 
 // waitReadErr polls until a CPU's reader goroutine records a terminal

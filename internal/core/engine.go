@@ -20,6 +20,7 @@ type Stats struct {
 	DMIMisses     uint64 // windowed-port accesses that fell back to messages
 	QuantumSyncs  uint64 // conservative syncs at quantum boundaries (per CPU)
 	QuantumBreaks uint64 // early syncs forced before a quantum boundary (per CPU)
+	StallEscapes  uint64 // skew waits abandoned on the wall-clock timeout (Driver-Kernel)
 }
 
 // engineObs holds the GDB-scheme hot-path metrics, pre-resolved at

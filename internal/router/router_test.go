@@ -148,17 +148,15 @@ func TestSealAndValid(t *testing.T) {
 }
 
 // fakeCPU services the router's pkt/csum ports inside the simulation,
-// so the router model can be tested without an ISS: an iss_process
-// computes the checksum whenever a packet blob is consumed.
+// so the router model can be tested without an ISS: a method process
+// polls the pkt port every 50 ns and answers each new packet blob with
+// its checksum.
 func fakeCPU(k *sim.Kernel, corrupt bool) (*sim.IssOut, *sim.IssIn) {
 	pkt := k.NewIssOut(PktPortName)
 	csum := k.NewIssIn(CsumPortName)
 	poll := k.NewEvent("fakecpu.poll")
 	served := uint64(0)
-	// The poller reads the forwarding engine's ports from its own
-	// cluster, so it must never co-run with the engine in a sharded
-	// round.
-	proc := k.MethodNoInit("fakecpu", func() {
+	k.MethodNoInit("fakecpu", func() {
 		if pkt.Writes() > served {
 			served = pkt.Writes()
 			blob := pkt.Bytes()
@@ -175,7 +173,6 @@ func fakeCPU(k *sim.Kernel, corrupt bool) (*sim.IssOut, *sim.IssIn) {
 		}
 		poll.NotifyAfter(50 * sim.NS)
 	}, poll)
-	proc.MarkSerialOnly()
 	poll.NotifyAfter(50 * sim.NS)
 	return pkt, csum
 }

@@ -30,21 +30,16 @@ type callAtDispatcher struct {
 	seq   uint64
 }
 
-// ensureCallAt lazily creates the dispatcher (and its method process).
-// Sharded kernels pre-create it in computeClusters so rounds always
-// have an event to route deferred CallAt calls by.
+// ensureCallAt lazily creates the dispatcher (and its method process)
+// on the first CallAt, which may come from inside a running simulation.
 func (k *Kernel) ensureCallAt() *callAtDispatcher {
 	if k.callAt == nil {
 		d := &callAtDispatcher{k: k, ev: k.NewEvent("kernel.call_at")}
 		k.callAt = d
-		// serialOnly: dispatched closures deliver into arbitrary foreign
-		// objects (ISS ports), so phases with a pending dispatch are
-		// evaluated serially rather than sharded.
-		p := &Proc{k: k, name: "kernel.call_at_dispatch", kind: methodProc, fn: d.dispatch, cluster: -1, serialOnly: true}
+		p := &Proc{k: k, name: "kernel.call_at_dispatch", kind: methodProc, fn: d.dispatch}
 		d.ev.addStatic(p)
 		p.static = append(p.static, d.ev)
 		k.procs = append(k.procs, p)
-		k.clustersDirty = true
 	}
 	return k.callAt
 }
@@ -54,14 +49,8 @@ func (k *Kernel) ensureCallAt() *callAtDispatcher {
 // the mechanism co-simulation bridges use to deliver ISS data at the
 // simulated time implied by consumed CPU cycles — under temporal
 // decoupling these are exactly the batched time-advance notices a
-// quantum of guest progress produces. Inside a sharded evaluation round
-// the call is deferred to the merge barrier, routed by the dispatcher's
-// own event.
+// quantum of guest progress produces.
 func (k *Kernel) CallAt(t Time, fn func()) {
-	if r := k.round; r != nil {
-		r.deferOp(k.callAt.ev, func() { k.CallAt(t, fn) })
-		return
-	}
 	d := k.ensureCallAt()
 	d.seq++
 	heap.Push(&d.queue, callAtItem{t: t, seq: d.seq, fn: fn})

@@ -28,20 +28,11 @@ type Event struct {
 	pending pendingKind
 	due     Time // valid when pending == pendingTimed
 	heapIdx int  // index in the kernel timed queue, -1 if absent
-
-	// Sharded-evaluation routing state (cluster.go): the sensitivity
-	// cluster this event belongs to (-1 = unclustered), its registration
-	// index, and the per-event sequence numbering deferred orphan ops.
-	cluster int32
-	regIdx  int32
-	opSeq   uint32
 }
 
 // NewEvent creates a named event owned by the kernel.
 func (k *Kernel) NewEvent(name string) *Event {
-	e := &Event{k: k, name: name, heapIdx: -1, cluster: -1, regIdx: int32(len(k.events))}
-	k.events = append(k.events, e)
-	return e
+	return &Event{k: k, name: name, heapIdx: -1}
 }
 
 // Name returns the event's name.
@@ -51,10 +42,6 @@ func (e *Event) Name() string { return e.name }
 // runnable in the current evaluation phase. Any pending delayed
 // notification is cancelled.
 func (e *Event) Notify() {
-	if r := e.k.round; r != nil {
-		r.deferOp(e, e.Notify)
-		return
-	}
 	e.Cancel()
 	e.trigger()
 }
@@ -62,10 +49,6 @@ func (e *Event) Notify() {
 // NotifyDelta schedules the event to trigger in the next delta cycle of
 // the current simulation time.
 func (e *Event) NotifyDelta() {
-	if r := e.k.round; r != nil {
-		r.deferOp(e, e.NotifyDelta)
-		return
-	}
 	switch e.pending {
 	case pendingDelta:
 		return
@@ -90,12 +73,6 @@ func (e *Event) NotifyAfter(d Time) {
 // SystemC override rules, an already-pending delta notification wins, and
 // an already-pending earlier timed notification wins.
 func (e *Event) NotifyAt(t Time) {
-	if r := e.k.round; r != nil {
-		// k.now is frozen for the duration of an evaluation phase, so
-		// replaying the full call at the merge barrier is equivalent.
-		r.deferOp(e, func() { e.NotifyAt(t) })
-		return
-	}
 	switch e.pending {
 	case pendingDelta:
 		return
@@ -115,10 +92,6 @@ func (e *Event) NotifyAt(t Time) {
 
 // Cancel removes any pending delayed notification.
 func (e *Event) Cancel() {
-	if r := e.k.round; r != nil {
-		r.deferOp(e, e.Cancel)
-		return
-	}
 	switch e.pending {
 	case pendingTimed:
 		e.k.timed.remove(e)
@@ -145,13 +118,6 @@ func (e *Event) trigger() {
 	for _, p := range e.static {
 		e.k.makeRunnable(p)
 	}
-	e.wakeDynamics()
-}
-
-// wakeDynamics wakes the processes blocked in Wait on this event — the
-// dynamic half of trigger, deferred to the merge barrier by sharded
-// rounds (dynamic waiters are threads, which never run in a round).
-func (e *Event) wakeDynamics() {
 	if len(e.dynamic) == 0 {
 		return
 	}

@@ -149,13 +149,12 @@ func (k *Kernel) IssProcess(name string, fn func(), ins ...*IssIn) *Proc {
 	if len(ins) == 0 {
 		panic("sim: iss_process needs at least one iss_in port")
 	}
-	p := &Proc{k: k, name: name, kind: issProc, fn: fn, cluster: -1}
+	p := &Proc{k: k, name: name, kind: issProc, fn: fn}
 	for _, in := range ins {
 		in.ev.addStatic(p)
 		p.static = append(p.static, in.ev)
 	}
 	k.procs = append(k.procs, p)
-	k.clustersDirty = true
 	return p
 }
 

@@ -43,16 +43,6 @@ type Kernel struct {
 	deltas   []*Event
 	timed    timedQueue
 	procs    []*Proc
-	events   []*Event // registration-ordered; orphan-merge sort key source
-
-	// Sharded evaluation state (cluster.go): clusters are discovered
-	// lazily at Run entry when sharding is enabled, and round is non-nil
-	// exactly while a sharded evaluation round's workers execute.
-	shardEnabled  bool
-	clustersDirty bool
-	clusterCount  int
-	clusterMerges uint64
-	round         *shardRound
 
 	cycleHooks    []CycleHook
 	endCycleHooks []CycleHook
@@ -66,7 +56,7 @@ type Kernel struct {
 	callAt *callAtDispatcher
 
 	running     bool
-	stopReq     atomic.Bool // may be set from sharded-round workers
+	stopReq     atomic.Bool // Stop may be called from any goroutine
 	killing     bool
 	current     *Proc
 	yield       chan struct{}
@@ -111,7 +101,6 @@ func (k *Kernel) PublishObs(r *obs.Registry) {
 	r.Gauge("sim.cycles").Set(k.cycleCount)
 	r.Gauge("sim.delta_cycles").Set(k.deltaCount)
 	r.Gauge("sim.activations").Set(k.activations)
-	r.Gauge("sim.cluster_merges").Set(k.clusterMerges)
 }
 
 // AddCycleHook registers a hook called at the beginning of every
@@ -143,20 +132,9 @@ func (k *Kernel) requestUpdate(u updatable) {
 	k.updates = append(k.updates, u)
 }
 
-// requestUpdateOwned is requestUpdate for channels that know the event
-// they notify on change: inside a sharded round the registration is
-// deferred to the merge barrier, routed by the owner's cluster.
-func (k *Kernel) requestUpdateOwned(u updatable, owner *Event) {
-	if r := k.round; r != nil {
-		r.deferOp(owner, func() { k.updates = append(k.updates, u) })
-		return
-	}
-	k.updates = append(k.updates, u)
-}
-
 // Stop requests the simulation to stop at the end of the current delta
-// cycle (the equivalent of sc_stop). Safe to call from processes,
-// including processes running inside a sharded evaluation round.
+// cycle (the equivalent of sc_stop). Safe to call from processes, hooks
+// and foreign goroutines.
 func (k *Kernel) Stop() { k.stopReq.Store(true) }
 
 // ErrDeadlock is returned by Run when, before the time limit, there are
@@ -173,9 +151,6 @@ func (k *Kernel) Run(until Time) error {
 	k.running = true
 	defer func() { k.running = false }()
 	k.stopReq.Store(false)
-	if k.shardEnabled && k.clustersDirty {
-		k.computeClusters()
-	}
 
 	for {
 		// ---- begin of simulation cycle (paper: Figure 3 / Figure 5) ----
@@ -194,14 +169,8 @@ func (k *Kernel) Run(until Time) error {
 			k.deltaCount++
 
 			// Evaluation phase. Immediate notifications may append to
-			// k.runnable while we iterate; process until drained. When
-			// sharding is enabled and the queue spans several method
-			// clusters, the whole queue is handed to parallel workers and
-			// merged deterministically (cluster.go).
+			// k.runnable while we iterate; process until drained.
 			for len(k.runnable) > 0 {
-				if k.shardEnabled && k.tryShardRound() {
-					continue
-				}
 				p := k.runnable[0]
 				k.runnable = k.runnable[1:]
 				p.runnable = false

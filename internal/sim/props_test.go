@@ -201,126 +201,3 @@ func TestMassiveTimedQueue(t *testing.T) {
 		t.Fatalf("fired = %d", fired)
 	}
 }
-
-// clusteredTrace builds a randomized multi-cluster method graph
-// (deterministic in seed) and returns each process's activation-time
-// trace plus the number of sharded rounds merged. Every cluster is a
-// ring of methods chained by delta notifications, re-armed on a common
-// period so the clusters keep co-firing (making multi-cluster phases,
-// hence sharded rounds, frequent), with a cross-cluster handoff into
-// the next cluster's inbox event. The graph respects the sharding
-// contract: every event collects operations from at most one cluster
-// per phase, and only delta/timed notifications are used (immediate
-// notification is activation-order-sensitive even under the serial
-// scheduler, so it is not a determinism property to test).
-func clusteredTrace(seed int64, shard bool) ([][]Time, uint64) {
-	mix := func(vs ...int64) uint64 {
-		h := uint64(seed) * 0x9e3779b97f4a7c15
-		for _, v := range vs {
-			h ^= uint64(v) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		}
-		return h
-	}
-	rng := rand.New(rand.NewSource(seed))
-	k := NewKernel("prop")
-	k.EnableSharding(shard)
-	nClusters := 2 + rng.Intn(4) // 2..5
-	procsPer := 1 + rng.Intn(3)  // 1..3
-	period := Time(10+rng.Intn(90)) * NS
-
-	events := make([][]*Event, nClusters)
-	inboxes := make([]*Event, nClusters)
-	for c := 0; c < nClusters; c++ {
-		events[c] = make([]*Event, procsPer)
-		for i := range events[c] {
-			events[c][i] = k.NewEvent("e")
-		}
-		inboxes[c] = k.NewEvent("inbox")
-	}
-
-	traces := make([][]Time, nClusters*procsPer)
-	for c := 0; c < nClusters; c++ {
-		c := c
-		for i := 0; i < procsPer; i++ {
-			i := i
-			idx := c*procsPer + i
-			act := int64(0)
-			fn := func() {
-				traces[idx] = append(traces[idx], k.Now())
-				act++
-				if act > 40 {
-					return // bound the workload
-				}
-				switch mix(int64(c), int64(i), act) % 4 {
-				case 0: // in-cluster delta chain
-					events[c][(i+1)%procsPer].NotifyDelta()
-				case 1: // re-arm at a randomized offset
-					events[c][i].NotifyAfter(Time(1+mix(act)%7) * period)
-				case 2: // cross-cluster handoff (deferred to the merge)
-					inboxes[(c+1)%nClusters].NotifyDelta()
-				}
-				// Keep every cluster firing on the common period so
-				// phases stay multi-cluster.
-				events[c][i].NotifyAfter(period)
-			}
-			// Process 0 of each cluster also owns the cluster's inbox.
-			sens := []*Event{events[c][i]}
-			if i == 0 {
-				sens = append(sens, inboxes[c])
-			}
-			k.MethodNoInit("p", fn, sens...)
-			events[c][i].NotifyAfter(period)
-		}
-	}
-	_ = k.Run(200 * Time(period))
-	merges := k.ClusterMerges()
-	k.Shutdown()
-	return traces, merges
-}
-
-// TestShardedClusterMatchesSerial is the sharding determinism property:
-// for randomized process graphs, the sharded execution produces exactly
-// the per-process activation traces of the single-threaded execution,
-// and re-running the sharded execution reproduces them bit for bit.
-func TestShardedClusterMatchesSerial(t *testing.T) {
-	var totalMerges uint64
-	for seed := int64(1); seed <= 12; seed++ {
-		serial, _ := clusteredTrace(seed, false)
-		sharded, merges := clusteredTrace(seed, true)
-		again, merges2 := clusteredTrace(seed, true)
-		totalMerges += merges
-		if len(serial) != len(sharded) {
-			t.Fatalf("seed %d: proc counts differ", seed)
-		}
-		for i := range serial {
-			if len(serial[i]) == 0 {
-				t.Fatalf("seed %d: proc %d never ran", seed, i)
-			}
-			if !equalTimes(serial[i], sharded[i]) {
-				t.Fatalf("seed %d: proc %d traces diverge:\n serial  %v\n sharded %v",
-					seed, i, serial[i], sharded[i])
-			}
-			if !equalTimes(sharded[i], again[i]) {
-				t.Fatalf("seed %d: proc %d sharded rerun diverged", seed, i)
-			}
-		}
-		if merges != merges2 {
-			t.Fatalf("seed %d: merge counts diverge across reruns (%d vs %d)", seed, merges, merges2)
-		}
-	}
-	if totalMerges == 0 {
-		t.Fatal("no sharded rounds ran across any seed: the property was vacuous")
-	}
-}
-
-func equalTimes(a, b []Time) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
