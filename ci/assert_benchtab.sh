@@ -14,7 +14,7 @@
 #                reconciling with the aggregates (needs -cpus 2); no
 #                stall escapes
 #   transports — per-transport counters for every swept backend
-#                (set TRANSPORTS, default "tcp unix ring")
+#                (set TRANSPORTS, default "tcp ring")
 #   dmi        — DMI/coalesce ablation: hits iff granted, message
 #                reduction, per-CPU reconciliation, identical
 #                functional outcome across cells, no stall escapes
@@ -82,7 +82,7 @@ percpu)
   ;;
 
 transports)
-  want=${TRANSPORTS:-tcp unix ring}
+  want=${TRANSPORTS:-tcp ring}
   jqe '.runs | length > 0' "report has no runs"
   # shellcheck disable=SC2086  # word splitting over the transport list is the point
   for tr in $want; do

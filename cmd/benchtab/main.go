@@ -5,7 +5,7 @@
 // Usage:
 //
 //	benchtab -exp table1|figure7|loc|all [-full] [-times 1ms,5ms]
-//	         [-scheme NAME] [-cpus N] [-transport tcp|unix|ring|pipe]
+//	         [-scheme NAME] [-cpus N] [-transport tcp|ring]
 //	         [-dmi] [-coalesce] [-quantum DUR] [-ablate dmi,coalesce,quantum]
 //	         [-parallel N] [-json] [-server URL]
 //
@@ -98,7 +98,7 @@ func main() {
 	times := flag.String("times", "", "comma-separated simulated durations for Table 1 (overrides -full)")
 	sel := harness.Scheme(-1) // sentinel: no filter
 	flag.Var(&sel, "scheme", "restrict the sweep to one scheme (default: all)")
-	transport := flag.String("transport", "tcp", `IPC transport: tcp, unix, ring or pipe; a comma list or "all" sweeps several`)
+	transport := flag.String("transport", "tcp", `IPC transport: tcp or ring; a comma list or "all" sweeps both`)
 	delay := flag.String("delay", "20us", "inter-packet delay for Table 1")
 	seed := flag.Int64("seed", 1, "traffic seed")
 	cpus := flag.Int("cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")

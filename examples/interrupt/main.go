@@ -100,7 +100,7 @@ func main() {
 	}
 	plat.CPU.Reset(im.Entry)
 
-	target, err := core.ConnectDriverTarget(plat, core.TransportPipe)
+	target, err := core.ConnectDriverTarget(plat, core.TransportRing)
 	if err != nil {
 		log.Fatal(err)
 	}

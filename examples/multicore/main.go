@@ -97,7 +97,7 @@ func attachCPU(k *sim.Kernel, name, src string) (*core.GDBKernel, *iss.CPU, erro
 	}
 	cpu := iss.New(iss.NewSystemBus(ram))
 	cpu.Reset(im.Entry)
-	target, err := core.StartGDBTarget(cpu, core.TransportPipe)
+	target, err := core.StartGDBTarget(cpu, core.TransportRing)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -134,7 +134,7 @@ func main() {
 	}
 	cpu1 := iss.New(iss.NewSystemBus(ram1))
 	cpu1.Reset(im1.Entry)
-	target1, err := core.StartGDBTarget(cpu1, core.TransportPipe)
+	target1, err := core.StartGDBTarget(cpu1, core.TransportRing)
 	if err != nil {
 		log.Fatal(err)
 	}

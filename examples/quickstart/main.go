@@ -58,7 +58,7 @@ func main() {
 
 	// 2. Serve the ISS behind a GDB remote-protocol stub (its own
 	// goroutine — the "software simulator process").
-	target, err := core.StartGDBTarget(cpu, core.TransportPipe)
+	target, err := core.StartGDBTarget(cpu, core.TransportRing)
 	if err != nil {
 		log.Fatal(err)
 	}

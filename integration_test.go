@@ -29,7 +29,7 @@ func TestSchemeFunctionalEquivalence(t *testing.T) {
 	for _, s := range harness.Schemes {
 		res, err := harness.Run(harness.Params{
 			Scheme:           s,
-			Transport:        core.TransportPipe,
+			Transport:        core.TransportRing,
 			SimTime:          20 * sim.MS,
 			Delay:            200 * sim.US,
 			PacketsPerSource: 10,
@@ -60,7 +60,7 @@ func TestWrapperQuantumSweep(t *testing.T) {
 	for _, quantum := range []uint64{1, 4, 32, 256} {
 		res, err := harness.Run(harness.Params{
 			Scheme:           harness.GDBWrapper,
-			Transport:        core.TransportPipe,
+			Transport:        core.TransportRing,
 			SimTime:          10 * sim.MS,
 			Delay:            300 * sim.US,
 			PacketsPerSource: 4,
@@ -140,7 +140,7 @@ mid:
 	cpu.Reset(im.Entry)
 
 	// Session 1: step once, detach.
-	t1, err := core.StartGDBTarget(cpu, core.TransportPipe)
+	t1, err := core.StartGDBTarget(cpu, core.TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ mid:
 	_ = t1.Wait()
 
 	// Session 2: fresh stub on the same CPU, run to completion.
-	t2, err := core.StartGDBTarget(cpu, core.TransportPipe)
+	t2, err := core.StartGDBTarget(cpu, core.TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestVCDFromCoSimulation(t *testing.T) {
 	var vcd sbWriter
 	_, err := harness.Run(harness.Params{
 		Scheme:    harness.DriverKernel,
-		Transport: core.TransportPipe,
+		Transport: core.TransportRing,
 		SimTime:   2 * sim.MS,
 		Delay:     10 * sim.US, // saturate so occupancy actually changes
 		Seed:      4,

@@ -142,7 +142,7 @@ func driveDoubler(t *testing.T, k *sim.Kernel, n int) *[]uint32 {
 }
 
 func TestGDBKernelEndToEnd(t *testing.T) {
-	for _, tr := range []Transport{TransportPipe, TransportTCP} {
+	for _, tr := range []Transport{TransportRing, TransportTCP} {
 		cpu, im := buildBareMetal(t, doublerSrc)
 		target, err := StartGDBTarget(cpu, tr)
 		if err != nil {
@@ -193,7 +193,7 @@ func TestGDBKernelEndToEnd(t *testing.T) {
 
 func TestGDBKernelTimeCoupling(t *testing.T) {
 	cpu, im := buildBareMetal(t, doublerSrc)
-	target, err := StartGDBTarget(cpu, TransportPipe)
+	target, err := StartGDBTarget(cpu, TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 
 func TestGDBWrapperEndToEnd(t *testing.T) {
 	cpu, im := buildBareMetal(t, doublerSrc)
-	target, err := StartGDBTarget(cpu, TransportPipe)
+	target, err := StartGDBTarget(cpu, TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ buf:  .word 0
 `
 
 func TestDriverKernelEndToEnd(t *testing.T) {
-	for _, tr := range []Transport{TransportPipe, TransportTCP} {
+	for _, tr := range []Transport{TransportRing, TransportTCP} {
 		im, err := rtos.Build(asm.Source{Name: "app.s", Text: driverDoublerSrc})
 		if err != nil {
 			t.Fatal(err)
@@ -437,7 +437,7 @@ req:  .word 0
 resp: .word 0
 `
 	cpu, im := buildBareMetal(t, src)
-	target, err := StartGDBTarget(cpu, TransportPipe)
+	target, err := StartGDBTarget(cpu, TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ resp: .word 0
 }
 
 func TestConnPairBackends(t *testing.T) {
-	// nil exercises the pipe default alongside every named backend.
+	// nil exercises the ring default alongside every named backend.
 	backends := append([]Transport{nil}, Transports()...)
 	for _, tr := range backends {
 		h, g, err := connPair(tr)
@@ -501,7 +501,7 @@ func TestWatchBindingMode(t *testing.T) {
 	// The watchpoint binding extension: the response transfer triggers
 	// on the store to the variable (gdb Z2), no code breakpoint needed.
 	cpu, im := buildBareMetal(t, doublerSrc)
-	target, err := StartGDBTarget(cpu, TransportPipe)
+	target, err := StartGDBTarget(cpu, TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +616,7 @@ func TestPragmaDrivenCoSimulation(t *testing.T) {
 	}
 	cpu, im := buildBareMetal(t, pragmaDoublerSrc)
 	_ = cpu
-	target, err := StartGDBTarget(cpu, TransportPipe)
+	target, err := StartGDBTarget(cpu, TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +642,7 @@ func TestPragmaDrivenCoSimulation(t *testing.T) {
 
 func TestJournalRecordsTransfers(t *testing.T) {
 	cpu, im := buildBareMetal(t, doublerSrc)
-	target, err := StartGDBTarget(cpu, TransportPipe)
+	target, err := StartGDBTarget(cpu, TransportRing)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,12 +85,6 @@ type driverCPU struct {
 	dataW io.Writer
 	irqW  io.Writer
 
-	// dataF/irqF are the channels' optional batched-I/O handles,
-	// resolved once at attach time so the per-cycle flush is two nil
-	// checks, not two type assertions. Nil for unbuffered transports.
-	dataF transport.Flusher
-	irqF  transport.Flusher
-
 	// Port routing: the guest names ports without knowing which CPU it
 	// is ("pkt", "csum"); the channel prefix maps those names onto this
 	// CPU's kernel ports ("cpu1.pkt"). Keys are guest-visible names.
@@ -314,12 +308,6 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 			prefix:      ch.Prefix,
 			inPorts:     make(map[string]*sim.IssIn),
 			outBindings: make(map[string]*binding),
-		}
-		if f, ok := ch.Data.(transport.Flusher); ok {
-			c.dataF = f
-		}
-		if f, ok := ch.IRQ.(transport.Flusher); ok {
-			c.irqF = f
 		}
 		c.obs.init(opts.Obs, i)
 		for _, s := range ch.Ports {
@@ -756,13 +744,11 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 	}
 }
 
-// flushChannels pushes batched frames out of the channels at the three
-// hook boundaries — after the reply loops, before a conservative wait,
-// after the interrupt fan-out — so a buffered DATA reply or interrupt
-// is never left unsent past a point the guest may block on it. With
-// coalescing on, each CPU's accumulated replies go out here as one
-// BATCH envelope per flush; Flusher-capable channel ends are then
-// flushed as before.
+// flushChannels writes each CPU's coalesced replies as one BATCH
+// envelope at the three hook boundaries — after the reply loops, before
+// a conservative wait, after the interrupt fan-out — so a batched DATA
+// reply is never left unsent past a point the guest may block on it.
+// Without coalescing there is nothing to write.
 func (d *DriverKernel) flushChannels() {
 	for _, c := range d.cpus {
 		if len(c.outBatch) > 0 {
@@ -777,16 +763,6 @@ func (d *DriverKernel) flushChannels() {
 				c.outBatch[i] = Message{}
 			}
 			c.outBatch = c.outBatch[:0]
-		}
-		if c.dataF != nil {
-			if err := c.dataF.Flush(); err != nil && d.err == nil {
-				d.err = c.errf("data socket flush: %w", err)
-			}
-		}
-		if c.irqF != nil {
-			if err := c.irqF.Flush(); err != nil && d.err == nil {
-				d.err = c.errf("interrupt socket flush: %w", err)
-			}
 		}
 	}
 }

@@ -25,14 +25,11 @@ type Endpoint = transport.Endpoint
 
 // The built-in transport backends under their historical core names.
 var (
-	// TransportPipe uses net.Pipe (synchronous in-process channel).
-	TransportPipe = transport.Pipe
 	// TransportTCP uses a loopback TCP connection.
 	TransportTCP = transport.TCP
-	// TransportUnix uses a Unix domain socket.
-	TransportUnix = transport.Unix
 	// TransportRing uses in-process ring buffers — the same-process
-	// fast path that skips the socket layer entirely.
+	// fast path that skips the socket layer entirely, and the nil
+	// default.
 	TransportRing = transport.Ring
 )
 
@@ -40,33 +37,33 @@ var (
 func Transports() []Transport { return transport.All() }
 
 // ParseTransport resolves a transport backend by flag name
-// (tcp, unix, ring, pipe).
+// (tcp, ring).
 func ParseTransport(name string) (Transport, error) { return transport.Parse(name) }
 
 // TransportName names tr for reports and scenario labels, mapping the
-// nil default to the pipe backend.
+// nil default to the ring backend.
 func TransportName(tr Transport) string {
 	if tr == nil {
-		return transport.Pipe.Name()
+		return transport.Ring.Name()
 	}
 	return tr.Name()
 }
 
 // ObservedTransport wraps tr so the endpoint pairs it creates count
 // transport.<name>.{pairs,tx_bytes,rx_bytes} into reg. Nil-safe on both
-// arguments; a nil transport resolves to the pipe default first.
+// arguments; a nil transport resolves to the ring default first.
 func ObservedTransport(tr Transport, reg *obs.Registry) Transport {
 	if tr == nil {
-		tr = transport.Pipe
+		tr = transport.Ring
 	}
 	return transport.Observed(tr, reg)
 }
 
 // connPair creates a connected endpoint pair using the chosen
-// transport; nil selects the in-process pipe default.
+// transport; nil selects the in-process ring default.
 func connPair(tr Transport) (host, guest Endpoint, err error) {
 	if tr == nil {
-		tr = transport.Pipe
+		tr = transport.Ring
 	}
 	return tr.Pair()
 }

@@ -98,9 +98,7 @@ type Config struct {
 	// These three fields describe a single CPU; multi-processor
 	// attachments declare one Channel per CPU instead. Channel ends
 	// that implement io.Closer are closed by the kernel's finalizers at
-	// Shutdown (terminating their reader goroutines); ends that
-	// implement transport.Flusher get their batched frames flushed at
-	// every cycle-hook boundary.
+	// Shutdown (terminating their reader goroutines).
 	Data  io.ReadWriter
 	IRQ   io.Writer
 	Ports []VarBinding

@@ -104,6 +104,15 @@ func (s *Stub) Serve() error {
 			}
 		}
 		if done {
+			if reply != nil {
+				// Take the client's ack of the final reply before
+				// returning, so the caller cannot close the connection
+				// while the client is still writing it. A client that
+				// hangs up instead of acking ends the session too.
+				if _, err := s.t.br.ReadByte(); err != nil && err != io.EOF {
+					return err
+				}
+			}
 			return nil
 		}
 	}

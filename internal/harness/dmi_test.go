@@ -145,7 +145,7 @@ func perCPUName(cpu int, metric string) string {
 // envelopes the kernel emits, and the run stays functionally identical
 // — the checksum replies parse, packets forward, integrity holds.
 func TestCoalesceAcceptsBatchedStream(t *testing.T) {
-	for _, tr := range []core.Transport{core.TransportRing, nil} { // nil = default pipe backend
+	for _, tr := range []core.Transport{core.TransportTCP, nil} { // nil = default ring backend
 		res, err := Run(dmiParams(false, true).withTransport(tr))
 		if err != nil {
 			t.Fatalf("run: %v", err)

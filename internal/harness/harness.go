@@ -92,9 +92,10 @@ func (s Scheme) SupportsMultiCPU() bool { return s == GDBKernel || s == DriverKe
 type Params struct {
 	Scheme Scheme
 	// Transport selects the IPC backend connecting the two simulators
-	// (core.TransportTCP/Unix/Ring/Pipe); nil means the in-process pipe
-	// default. Run wraps it with core.ObservedTransport, so every run's
-	// registry carries transport.<name>.{pairs,tx_bytes,rx_bytes}.
+	// (core.TransportTCP or core.TransportRing); nil means the
+	// in-process ring default. Run wraps it with
+	// core.ObservedTransport, so every run's registry carries
+	// transport.<name>.{pairs,tx_bytes,rx_bytes}.
 	Transport core.Transport
 
 	// SimTime is the simulated duration to execute.
@@ -105,8 +106,8 @@ type Params struct {
 	// 10ns). Zero disables cycle coupling.
 	CPUPeriod sim.Time
 	// SkewBound bounds how far simulated time may race past an
-	// in-flight ISS interaction (default 1us; see core). Zero =
-	// free-running.
+	// in-flight ISS interaction (see core). Zero selects the 1us
+	// default, so a run is never free-running.
 	SkewBound sim.Time
 	// Quantum temporally decouples the Driver-Kernel scheme: each guest
 	// may run ahead of kernel time by up to this much, with conservative

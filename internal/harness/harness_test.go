@@ -47,7 +47,7 @@ func TestRunConservation(t *testing.T) {
 	// received <= forwarded (some may be in flight at sim end).
 	res, err := Run(Params{
 		Scheme:    GDBKernel,
-		Transport: core.TransportPipe,
+		Transport: core.TransportRing,
 		SimTime:   2 * sim.MS,
 		Delay:     40 * sim.US,
 		ErrorRate: 0.2,
@@ -83,7 +83,7 @@ func TestCorruptionAlwaysCaught(t *testing.T) {
 	// the guest checksum by the end of the run.
 	res, err := Run(Params{
 		Scheme:           DriverKernel,
-		Transport:        core.TransportPipe,
+		Transport:        core.TransportRing,
 		SimTime:          5 * sim.MS,
 		Delay:            100 * sim.US,
 		ErrorRate:        0.3,
@@ -110,7 +110,7 @@ func TestTable1SmallRun(t *testing.T) {
 	}
 	simTimes := []sim.Time{sim.MS}
 	rows, err := Table1(simTimes, Params{
-		Transport: core.TransportPipe,
+		Transport: core.TransportRing,
 		Delay:     50 * sim.US,
 		Seed:      1,
 	}, 2)
@@ -137,7 +137,7 @@ func TestDeterministicTrafficAcrossSchemes(t *testing.T) {
 	for _, s := range Schemes {
 		res, err := Run(Params{
 			Scheme:    s,
-			Transport: core.TransportPipe,
+			Transport: core.TransportRing,
 			SimTime:   sim.MS,
 			Delay:     50 * sim.US,
 			Seed:      21,
@@ -173,7 +173,7 @@ func TestVCDTraceOutput(t *testing.T) {
 	var sb strings.Builder
 	_, err := Run(Params{
 		Scheme:    GDBKernel,
-		Transport: core.TransportPipe,
+		Transport: core.TransportRing,
 		SimTime:   sim.MS,
 		Delay:     50 * sim.US,
 		Seed:      1,
@@ -200,7 +200,7 @@ func TestMultiCPUScalesThroughput(t *testing.T) {
 	run := func(cpus int) *Result {
 		res, err := Run(Params{
 			Scheme:    GDBKernel,
-			Transport: core.TransportPipe,
+			Transport: core.TransportRing,
 			SimTime:   2 * sim.MS,
 			Delay:     3 * sim.US, // saturates a single CPU
 			CPUs:      cpus,
@@ -255,7 +255,7 @@ func TestDriverKernelMultiCPU(t *testing.T) {
 	// traffic on both CPUs' channels.
 	res, err := Run(Params{
 		Scheme:    DriverKernel,
-		Transport: core.TransportPipe,
+		Transport: core.TransportRing,
 		SimTime:   2 * sim.MS,
 		Delay:     100 * sim.US,
 		CPUs:      2,
@@ -291,7 +291,7 @@ func TestDriverKernelMultiCPUDeterministic(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(Params{
 			Scheme:    DriverKernel,
-			Transport: core.TransportPipe,
+			Transport: core.TransportRing,
 			SimTime:   sim.MS,
 			Delay:     100 * sim.US,
 			CPUs:      2,
@@ -312,7 +312,7 @@ func TestDriverKernelMultiCPUDeterministic(t *testing.T) {
 func TestMulticastTraffic(t *testing.T) {
 	res, err := Run(Params{
 		Scheme:           GDBKernel,
-		Transport:        core.TransportPipe,
+		Transport:        core.TransportRing,
 		SimTime:          10 * sim.MS,
 		Delay:            200 * sim.US,
 		MulticastRate:    0.5,

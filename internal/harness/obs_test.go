@@ -33,7 +33,7 @@ func TestObsCountersConsistentAcrossSchemes(t *testing.T) {
 			jl := core.NewJournal(0)
 			res, err := Run(Params{
 				Scheme:    s,
-				Transport: core.TransportPipe,
+				Transport: core.TransportRing,
 				SimTime:   sim.MS,
 				Seed:      7,
 				Journal:   jl,
@@ -141,7 +141,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestTraceErrPropagated(t *testing.T) {
 	res, err := Run(Params{
 		Scheme:    GDBKernel,
-		Transport: core.TransportPipe,
+		Transport: core.TransportRing,
 		SimTime:   200 * sim.US,
 		Seed:      3,
 		Trace:     &failWriter{},

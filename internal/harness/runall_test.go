@@ -12,7 +12,7 @@ import (
 )
 
 func sweepScenarios() []Scenario {
-	base := Params{Transport: core.TransportPipe, Delay: 20 * sim.US, Seed: 1}
+	base := Params{Transport: core.TransportRing, Delay: 20 * sim.US, Seed: 1}
 	return Table1Scenarios([]sim.Time{500 * sim.US}, base)
 }
 

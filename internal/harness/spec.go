@@ -27,7 +27,7 @@ type Spec struct {
 	// "gdb-wrapper", "gdb-kernel", "driver-kernel"). Required.
 	Scheme string `json:"scheme"`
 	// Transport names the IPC backend (core.ParseTransport spelling:
-	// "tcp", "unix", "ring", "pipe"); empty selects the pipe default.
+	// "tcp", "ring"); empty selects the ring default.
 	Transport string `json:"transport,omitempty"`
 
 	SimTime       string `json:"sim_time,omitempty"`

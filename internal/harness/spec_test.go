@@ -74,7 +74,7 @@ func TestSpecParamsMaterialisation(t *testing.T) {
 // wire-safe field.
 func TestSpecParamsRoundTrip(t *testing.T) {
 	orig := Params{
-		Scheme: GDBKernel, Transport: core.TransportUnix,
+		Scheme: GDBKernel, Transport: core.TransportTCP,
 		SimTime: 2 * sim.MS, CPUPeriod: 10 * sim.NS,
 		CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
 		ErrorRate: 0.1, FifoDepth: 4, PacketsPerSource: 9, Seed: 11,
@@ -85,7 +85,7 @@ func TestSpecParamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The transport interface value survives by name.
-	if core.TransportName(back.Transport) != "unix" {
+	if core.TransportName(back.Transport) != "tcp" {
 		t.Fatalf("transport %q", core.TransportName(back.Transport))
 	}
 	orig.Transport, back.Transport = nil, nil

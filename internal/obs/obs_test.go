@@ -73,11 +73,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram should stay empty")
 	}
-	r.RecordSpan("x", time.Time{}, 0)
-	r.EnableSpanEvents(4)
-	if ev, total := r.SpanEvents(); ev != nil || total != 0 {
-		t.Fatal("nil registry should have no span events")
-	}
 	s := r.Snapshot()
 	if len(s.Flatten()) != 0 {
 		t.Fatal("nil registry snapshot should flatten empty")
@@ -124,27 +119,6 @@ func TestSpanObservesElapsed(t *testing.T) {
 	}
 	if h.Sum() < uint64(time.Millisecond) {
 		t.Fatalf("span sum = %dns, want >= 1ms", h.Sum())
-	}
-}
-
-func TestSpanEventRing(t *testing.T) {
-	r := NewRegistry()
-	r.EnableSpanEvents(3)
-	base := time.Unix(0, 0)
-	for i := 0; i < 5; i++ {
-		r.RecordSpan("ev", base.Add(time.Duration(i)), time.Duration(i))
-	}
-	ev, total := r.SpanEvents()
-	if total != 5 {
-		t.Fatalf("total = %d, want 5", total)
-	}
-	if len(ev) != 3 {
-		t.Fatalf("retained = %d, want 3", len(ev))
-	}
-	for i, e := range ev {
-		if want := time.Duration(i + 2); e.Dur != want {
-			t.Fatalf("event %d dur = %v, want %v (oldest-first order)", i, e.Dur, want)
-		}
 	}
 }
 

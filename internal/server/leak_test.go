@@ -68,8 +68,8 @@ func TestServerLeaksNoGoroutines(t *testing.T) {
 	specs := []string{
 		`{"scheme": "driver-kernel", "transport": "ring", "sim_time": "100us"}`,
 		`{"scheme": "driver-kernel", "transport": "ring", "sim_time": "100us", "cpus": 2}`,
-		`{"scheme": "gdb-kernel", "transport": "pipe", "sim_time": "100us"}`,
-		`{"scheme": "gdb-wrapper", "transport": "pipe", "sim_time": "100us"}`,
+		`{"scheme": "gdb-kernel", "transport": "ring", "sim_time": "100us"}`,
+		`{"scheme": "gdb-wrapper", "transport": "ring", "sim_time": "100us"}`,
 		// Long enough that the cancel below lands mid-run or queued.
 		`{"scheme": "driver-kernel", "transport": "ring", "sim_time": "100ms"}`,
 	}

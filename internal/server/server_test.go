@@ -338,8 +338,12 @@ func TestDrainCompletesInFlight(t *testing.T) {
 
 // TestSessionWallDeadline: a blown per-session deadline fails only that
 // session and frees the worker.
+//
+// The deadline must exceed the follow-up's wall time in every build
+// mode, so it scales with the race detector's slowdown; the 500ms
+// longSpec still takes far longer than that.
 func TestSessionWallDeadline(t *testing.T) {
-	_, c := newService(t, server.Config{Workers: 1, SessionWall: 50 * time.Millisecond})
+	_, c := newService(t, server.Config{Workers: 1, SessionWall: raceSlowdown * 50 * time.Millisecond})
 
 	_, _, body := c.post(longSpec)
 	st := c.await(idOf(t, body), 30*time.Second)
@@ -394,7 +398,7 @@ func TestConcurrentSessionsAllComplete(t *testing.T) {
 
 	specs := []string{
 		`{"scheme": "driver-kernel", "transport": "ring", "sim_time": "100us"}`,
-		`{"scheme": "gdb-kernel", "transport": "pipe", "sim_time": "100us"}`,
+		`{"scheme": "gdb-kernel", "transport": "ring", "sim_time": "100us"}`,
 	}
 	ids := make(chan string, sessions)
 	errs := make(chan error, sessions)

@@ -48,8 +48,8 @@ func (o *observedTransport) Pair() (host, guest Endpoint, err error) {
 }
 
 // countedEndpoint counts host-side traffic. It forwards Flush so a
-// Buffered underlying endpoint keeps its batch boundaries, and Close so
-// teardown ownership is unchanged.
+// buffering endpoint underneath keeps its batch boundaries, and Close
+// so teardown ownership is unchanged.
 type countedEndpoint struct {
 	ep      Endpoint
 	tx, rx  *obs.Counter
@@ -76,7 +76,7 @@ func (c *countedEndpoint) Close() error { return c.ep.Close() }
 func (c *countedEndpoint) Flush() error { return Flush(c.ep) }
 
 // RecordBatch counts a coalesced write of n messages and forwards the
-// report, so a Buffered endpoint underneath keeps its own accounting.
+// report, so an accounting endpoint underneath keeps its own count.
 func (c *countedEndpoint) RecordBatch(n int) {
 	if n > 0 {
 		c.batched.Add(uint64(n))
