@@ -12,7 +12,8 @@
 #                counters on the right schemes
 #   percpu     — per-CPU driver counters present, non-zero, and
 #                reconciling with the aggregates (needs -cpus 2); no
-#                stall escapes
+#                stall escapes; Driver-Kernel runs allocate less than
+#                once per simulation cycle (needs a serial sweep)
 #   transports — per-transport counters for every swept backend
 #                (set TRANSPORTS, default "tcp ring")
 #   dmi        — DMI/coalesce ablation: hits iff granted, message
@@ -78,6 +79,12 @@ percpu)
         | .["driver.messages"] == .["driver.cpu0.messages"] + .["driver.cpu1.messages"]]
        | all' \
     "aggregate driver.messages does not equal the per-CPU sum"
+  # The kernel's steady state allocates nothing, so a Driver-Kernel run
+  # allocates less than once per simulation cycle. .allocs is
+  # process-wide, which holds here because the sweep is serial.
+  jqe '[.runs[] | select(.scheme == "Driver-Kernel")
+        | .allocs < .counters["sim.cycles"]] | all' \
+    "a Driver-Kernel run allocated once or more per sim.cycles"
   no_stall_escapes
   ;;
 

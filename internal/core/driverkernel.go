@@ -39,6 +39,10 @@ type DriverKernel struct {
 	period      sim.Time
 	skewBound   sim.Time
 	waitTimeout time.Duration // how long a conservative wait may block
+	// stallTimer is the stall-escape timer, created on the first wait
+	// and reset for each later one; between waits it is stopped and its
+	// channel drained. Kernel context only.
+	stallTimer *time.Timer
 
 	// quantum, when non-zero, temporally decouples the scheme: the
 	// conservative per-cycle synchronization (flush + skew-bounded wait)
@@ -718,8 +722,14 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 		// fires when a guest stops responding, i.e. when determinism is
 		// already lost, and it must not depend on simulated time that
 		// is no longer advancing.
-		//cosimvet:ignore detsafe stall-escape timeout is intentionally host wall-clock
-		timer := time.NewTimer(d.waitTimeout)
+		if d.stallTimer == nil {
+			//cosimvet:ignore detsafe stall-escape timeout is intentionally host wall-clock
+			d.stallTimer = time.NewTimer(d.waitTimeout)
+		} else {
+			d.stallTimer.Reset(d.waitTimeout)
+		}
+		timer := d.stallTimer
+		fired := false
 	wait:
 		for {
 			select {
@@ -732,6 +742,7 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 			case <-timer.C:
 				// Give up on this request; don't stall the simulation,
 				// but count the escape: the skew bound no longer holds.
+				fired = true
 				c.outstanding = false
 				d.stats.StallEscapes++
 				d.obs.stallEscapes.Inc()
@@ -739,7 +750,11 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 				break wait
 			}
 		}
-		timer.Stop()
+		// Leave the timer stopped with an empty channel, so the next
+		// Reset cannot deliver this wait's expiry.
+		if !fired && !timer.Stop() {
+			<-timer.C
+		}
 		sp.End()
 	}
 }

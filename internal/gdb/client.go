@@ -49,6 +49,11 @@ type Client struct {
 	packets  chan []byte
 	readErr  error
 	errMu    sync.Mutex
+
+	// stopTimer bounds WaitStopTimeout. It is created on first use and
+	// reset for each later call; between calls it is stopped and its
+	// channel drained.
+	stopTimer *time.Timer
 }
 
 // ClientOptions configures a Client.
@@ -374,10 +379,17 @@ func (c *Client) WaitStopTimeout(d time.Duration) (*StopEvent, bool, error) {
 	if !c.buffered {
 		return nil, false, errors.New("gdb: WaitStopTimeout requires UseReaderGoroutine")
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	if c.stopTimer == nil {
+		c.stopTimer = time.NewTimer(d)
+	} else {
+		c.stopTimer.Reset(d)
+	}
+	timer := c.stopTimer
 	select {
 	case pkt, ok := <-c.packets:
+		if !timer.Stop() {
+			<-timer.C
+		}
 		if !ok {
 			return nil, false, c.readError()
 		}

@@ -116,6 +116,10 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
+// epoch is the origin of span timestamps. time.Since on it reads only
+// the monotonic clock, where time.Now reads the wall clock as well.
+var epoch = time.Now()
+
 // Start begins a wall-clock span whose duration (in nanoseconds) is
 // observed into the histogram when End is called. On a nil histogram
 // the returned span is inert and End is free — timing is skipped
@@ -124,13 +128,13 @@ func (h *Histogram) Start() Span {
 	if h == nil {
 		return Span{}
 	}
-	return Span{h: h, t0: time.Now()}
+	return Span{h: h, t0: time.Since(epoch)}
 }
 
 // Span is an in-flight duration measurement; see Histogram.Start.
 type Span struct {
 	h  *Histogram
-	t0 time.Time
+	t0 time.Duration // monotonic offset from epoch
 }
 
 // End records the span's elapsed nanoseconds.
@@ -138,7 +142,7 @@ func (s Span) End() {
 	if s.h == nil {
 		return
 	}
-	s.h.Observe(uint64(time.Since(s.t0)))
+	s.h.Observe(uint64(time.Since(epoch) - s.t0))
 }
 
 // Bucket is one non-empty histogram bucket in a snapshot. Le is the

@@ -187,3 +187,13 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(uint64(i))
 	}
 }
+
+// BenchmarkSpan is one Start/End pair on a live histogram: the cost the
+// kernel pays twice per simulation cycle for sim.cycle_hook_ns.
+func BenchmarkSpan(b *testing.B) {
+	h := NewRegistry().Histogram("span_ns")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Start().End()
+	}
+}

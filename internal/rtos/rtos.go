@@ -98,6 +98,12 @@ func (r *Runner) Start() {
 	go func() {
 		defer close(r.done)
 		wake := r.P.CPU.WakeChan()
+		// One idle timer for the whole run: it is stopped with an
+		// empty channel whenever the guest is not idle.
+		idle := time.NewTimer(r.IdleSleep)
+		if !idle.Stop() {
+			<-idle.C
+		}
 		for !r.stop.Load() {
 			stop, _ := r.P.Run(r.Quantum)
 			r.last = stop
@@ -107,9 +113,13 @@ func (r *Runner) Start() {
 			case iss.StopIdle:
 				// Parked in WFI: sleep until an interrupt is raised
 				// (with a fallback poll for timer-driven wakeups).
+				idle.Reset(r.IdleSleep)
 				select {
 				case <-wake:
-				case <-time.After(r.IdleSleep):
+					if !idle.Stop() {
+						<-idle.C
+					}
+				case <-idle.C:
 				}
 			default:
 				return // halt, error, ...

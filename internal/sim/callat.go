@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // callAtItem is one deferred call.
 type callAtItem struct {
 	t   Time
@@ -9,24 +7,64 @@ type callAtItem struct {
 	fn  func()
 }
 
-type callAtHeap []callAtItem
+// callAtQueue is a binary min-heap of deferred calls ordered by
+// (t, seq). It is typed rather than built on container/heap, whose
+// Push and Pop box every item into an interface value.
+type callAtQueue []callAtItem
 
-func (h callAtHeap) Len() int { return len(h) }
-func (h callAtHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (q callAtQueue) less(i, j int) bool {
+	if q[i].t != q[j].t {
+		return q[i].t < q[j].t
 	}
-	return h[i].seq < h[j].seq
+	return q[i].seq < q[j].seq
 }
-func (h callAtHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *callAtHeap) Push(x any)   { *h = append(*h, x.(callAtItem)) }
-func (h *callAtHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (q *callAtQueue) push(it callAtItem) {
+	*q = append(*q, it)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest call. The vacated slot is
+// cleared so the queue does not keep the closure alive.
+func (q *callAtQueue) pop() callAtItem {
+	h := *q
+	n := len(h) - 1
+	it := h[0]
+	h[0] = h[n]
+	h[n] = callAtItem{}
+	h = h[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
+	*q = h
+	return it
+}
 
 // callAtDispatcher runs deferred calls; created lazily by CallAt.
 type callAtDispatcher struct {
 	k     *Kernel
 	ev    *Event
-	queue callAtHeap
+	queue callAtQueue
 	seq   uint64
 }
 
@@ -53,7 +91,7 @@ func (k *Kernel) ensureCallAt() *callAtDispatcher {
 func (k *Kernel) CallAt(t Time, fn func()) {
 	d := k.ensureCallAt()
 	d.seq++
-	heap.Push(&d.queue, callAtItem{t: t, seq: d.seq, fn: fn})
+	d.queue.push(callAtItem{t: t, seq: d.seq, fn: fn})
 	if t <= k.now {
 		d.ev.NotifyDelta()
 	} else {
@@ -66,11 +104,10 @@ func (k *Kernel) CallAfter(d Time, fn func()) { k.CallAt(k.now+d, fn) }
 
 // dispatch runs every due call and re-arms for the next one.
 func (d *callAtDispatcher) dispatch() {
-	for d.queue.Len() > 0 && d.queue[0].t <= d.k.now {
-		it := heap.Pop(&d.queue).(callAtItem)
-		it.fn()
+	for len(d.queue) > 0 && d.queue[0].t <= d.k.now {
+		d.queue.pop().fn()
 	}
-	if d.queue.Len() > 0 {
+	if len(d.queue) > 0 {
 		d.ev.NotifyAt(d.queue[0].t)
 	}
 }

@@ -144,6 +144,69 @@ func TestFifoPeek(t *testing.T) {
 	k.Shutdown()
 }
 
+// TestFifoRingWrapsAndClears: the ring keeps FIFO order across the
+// wrap point and releases every slot it pops.
+func TestFifoRingWrapsAndClears(t *testing.T) {
+	k := NewKernel("t")
+	defer k.Shutdown()
+	f := NewFifo[*int](k, "f", 3)
+	vals := make([]int, 64)
+	var model []*int
+	for i := range vals {
+		// Write one or two, read one: the head walks round the ring.
+		for n := 1 + i%2; n > 0 && f.Free() > 0; n-- {
+			f.TryWrite(&vals[i])
+			model = append(model, &vals[i])
+		}
+		v, ok := f.TryRead()
+		if !ok || v != model[0] {
+			t.Fatalf("step %d: read the wrong item", i)
+		}
+		model = model[1:]
+	}
+	for len(model) > 0 {
+		v, _ := f.TryRead()
+		if v != model[0] {
+			t.Fatal("drain: read the wrong item")
+		}
+		model = model[1:]
+	}
+	for i, slot := range f.buf {
+		if slot != nil {
+			t.Fatalf("slot %d still holds a popped item", i)
+		}
+	}
+}
+
+// TestFifoStorageFollowsUse: the capacity bounds the FIFO without
+// sizing its storage, so a huge capacity costs only what is stored, and
+// order holds across growth with the ring wrapped.
+func TestFifoStorageFollowsUse(t *testing.T) {
+	k := NewKernel("t")
+	defer k.Shutdown()
+	f := NewFifo[int](k, "f", 1<<40)
+	var model []int
+	next := 0
+	for step := 0; step < 20; step++ {
+		// Write five, read three: occupancy climbs, and from the third
+		// growth on the ring is wrapped when it grows.
+		for i := 0; i < 5; i++ {
+			f.TryWrite(next)
+			model = append(model, next)
+			next++
+		}
+		for i := 0; i < 3; i++ {
+			if v, ok := f.TryRead(); !ok || v != model[0] {
+				t.Fatalf("step %d: read %d, %v; want %d", step, v, ok, model[0])
+			}
+			model = model[1:]
+		}
+	}
+	if f.Len() != len(model) || len(f.buf) > 2*len(model) {
+		t.Fatalf("%d items stored in %d slots", f.Len(), len(f.buf))
+	}
+}
+
 func TestFifoConservation(t *testing.T) {
 	// Property: writes accepted == reads + still-buffered, drops counted.
 	f := func(ops []bool) bool {

@@ -9,10 +9,19 @@ package sim
 // num_available is conservative; we use the simpler immediate-visibility
 // model, which is what sc_fifo readers observe after their wait on
 // data_written_event).
+//
+// The storage is a ring that doubles when full, up to capacity, and is
+// then reused: once a FIFO has held its peak occupancy, writes and
+// reads do not allocate. The capacity may come from outside the
+// program (a cosimd session's fifo_depth), so it is a limit, not an
+// up-front allocation. A read clears the slot it pops, so the FIFO
+// holds no stale references.
 type Fifo[T any] struct {
 	k        *Kernel
 	name     string
-	buf      []T
+	buf      []T // ring storage, len(buf) <= capacity
+	head     int // index of the oldest item
+	n        int // number of items stored
 	capacity int
 
 	dataWritten *Event
@@ -39,13 +48,13 @@ func NewFifo[T any](k *Kernel, name string, capacity int) *Fifo[T] {
 func (f *Fifo[T]) Name() string { return f.name }
 
 // Len returns the number of items currently stored.
-func (f *Fifo[T]) Len() int { return len(f.buf) }
+func (f *Fifo[T]) Len() int { return f.n }
 
 // Cap returns the FIFO capacity.
 func (f *Fifo[T]) Cap() int { return f.capacity }
 
 // Free returns the remaining space.
-func (f *Fifo[T]) Free() int { return f.capacity - len(f.buf) }
+func (f *Fifo[T]) Free() int { return f.capacity - f.n }
 
 // DataWritten returns the event notified (delta) after each write.
 func (f *Fifo[T]) DataWritten() *Event { return f.dataWritten }
@@ -66,24 +75,47 @@ func (f *Fifo[T]) Dropped() uint64 { return f.dropped }
 // TryWrite appends v if there is space and reports success. On failure
 // the drop counter is incremented.
 func (f *Fifo[T]) TryWrite(v T) bool {
-	if len(f.buf) >= f.capacity {
+	if f.n == f.capacity {
 		f.dropped++
 		return false
 	}
-	f.buf = append(f.buf, v)
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	i := f.head + f.n
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.buf[i] = v
+	f.n++
 	f.totalWritten++
 	f.dataWritten.NotifyDelta()
 	return true
 }
 
+// grow doubles the ring, up to capacity, unrolling it so the oldest
+// item lands at index 0.
+func (f *Fifo[T]) grow() {
+	size := min(max(2*len(f.buf), 4), f.capacity)
+	buf := make([]T, size)
+	n := copy(buf, f.buf[f.head:])
+	copy(buf[n:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+}
+
 // TryRead pops the oldest item if available.
 func (f *Fifo[T]) TryRead() (T, bool) {
 	var zero T
-	if len(f.buf) == 0 {
+	if f.n == 0 {
 		return zero, false
 	}
-	v := f.buf[0]
-	f.buf = f.buf[1:]
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.head = 0
+	}
+	f.n--
 	f.totalRead++
 	f.dataRead.NotifyDelta()
 	return v, true
@@ -92,10 +124,10 @@ func (f *Fifo[T]) TryRead() (T, bool) {
 // Peek returns the oldest item without removing it.
 func (f *Fifo[T]) Peek() (T, bool) {
 	var zero T
-	if len(f.buf) == 0 {
+	if f.n == 0 {
 		return zero, false
 	}
-	return f.buf[0], true
+	return f.buf[f.head], true
 }
 
 // Write blocks the calling thread until space is available, then appends v.

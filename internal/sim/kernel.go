@@ -38,11 +38,21 @@ type Kernel struct {
 	// kernel-embedded schemes add to the scheduler.
 	hookNS *obs.Histogram
 
-	runnable []*Proc
-	updates  []updatable
-	deltas   []*Event
-	timed    timedQueue
-	procs    []*Proc
+	// The scheduler queues are reused for the whole run so the steady
+	// state does not allocate. runnable is drained by index: runHead is
+	// the next entry to run, and it lives in the kernel so a Run that a
+	// panicking process aborted resumes with the processes queued after
+	// it. updates and deltas are double-buffered with their spares: a
+	// phase swaps the spare in before it iterates, because update()
+	// queues delta notifications and fire() queues processes.
+	runnable     []*Proc
+	runHead      int
+	updates      []updatable
+	spareUpdates []updatable
+	deltas       []*Event
+	spareDeltas  []*Event
+	timed        timedQueue
+	procs        []*Proc
 
 	cycleHooks    []CycleHook
 	endCycleHooks []CycleHook
@@ -138,8 +148,8 @@ func (k *Kernel) requestUpdate(u updatable) {
 func (k *Kernel) Stop() { k.stopReq.Store(true) }
 
 // ErrDeadlock is returned by Run when, before the time limit, there are
-// no runnable processes, no pending notifications, and no cycle hooks
-// that could inject external activity.
+// no runnable processes and no pending notifications. Cycle hooks do not
+// prevent it: without a timed event the simulation cannot advance.
 var ErrDeadlock = errors.New("sim: no pending activity (deadlock)")
 
 // Run advances the simulation until the given absolute time, until
@@ -162,31 +172,30 @@ func (k *Kernel) Run(until Time) error {
 		sp.End()
 
 		// Delta loop: evaluate / update / delta-notify until quiescent.
-		for {
-			if len(k.runnable) == 0 && len(k.updates) == 0 && len(k.deltas) == 0 {
-				break
-			}
+		for k.activityPending() {
 			k.deltaCount++
 
 			// Evaluation phase. Immediate notifications may append to
 			// k.runnable while we iterate; process until drained.
-			for len(k.runnable) > 0 {
-				p := k.runnable[0]
-				k.runnable = k.runnable[1:]
+			for k.runHead < len(k.runnable) {
+				p := k.runnable[k.runHead]
+				k.runHead++
 				p.runnable = false
 				k.runProc(p)
 			}
+			k.runnable = k.runnable[:0]
+			k.runHead = 0
 
 			// Update phase.
 			ups := k.updates
-			k.updates = nil
+			k.updates, k.spareUpdates = k.spareUpdates[:0], ups
 			for _, u := range ups {
 				u.update()
 			}
 
 			// Delta notification phase.
 			ds := k.deltas
-			k.deltas = nil
+			k.deltas, k.spareDeltas = k.spareDeltas[:0], ds
 			for _, e := range ds {
 				if e.pending == pendingDelta {
 					e.fire()
@@ -207,16 +216,13 @@ func (k *Kernel) Run(until Time) error {
 		}
 		// Hooks may have made processes runnable or queued deltas at the
 		// current time; loop back into the delta loop without advancing.
-		if len(k.runnable) > 0 || len(k.updates) > 0 || len(k.deltas) > 0 {
+		if k.activityPending() {
 			continue
 		}
 
 		// Advance time.
 		next := k.timed.peek()
 		if next == nil {
-			if len(k.cycleHooks) == 0 {
-				return ErrDeadlock
-			}
 			// External activity could still arrive through hooks, but
 			// with no timed events the simulation cannot advance.
 			return ErrDeadlock
@@ -230,6 +236,12 @@ func (k *Kernel) Run(until Time) error {
 			k.timed.pop().fire()
 		}
 	}
+}
+
+// activityPending reports whether the current time point has work
+// left: a queued process, a pending update or a delta notification.
+func (k *Kernel) activityPending() bool {
+	return k.runHead < len(k.runnable) || len(k.updates) > 0 || len(k.deltas) > 0
 }
 
 // RunFor advances the simulation by d from the current time.

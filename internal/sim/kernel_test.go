@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -380,6 +381,46 @@ func TestThreadPanicPropagates(t *testing.T) {
 	t.Fatal("Run returned normally")
 }
 
+// TestRunResumesAfterMethodPanic: a method that panics mid-evaluation
+// aborts Run, and the next Run picks up the evaluation phase where it
+// stopped — the processes queued after the panicking one run exactly
+// once, and the panicking one is not replayed.
+func TestRunResumesAfterMethodPanic(t *testing.T) {
+	k := NewKernel("t")
+	t.Cleanup(k.Shutdown)
+	runs := map[string]int{}
+	k.Method("a", func() { runs["a"]++ })
+	k.Method("boom", func() {
+		runs["boom"]++
+		if runs["boom"] == 1 {
+			panic("bang") // a replay returns normally and shows in the count
+		}
+	})
+	k.Method("b", func() { runs["b"]++ })
+	k.Method("c", func() { runs["c"]++ })
+
+	func() {
+		defer func() {
+			if r := recover(); r != "bang" {
+				t.Fatalf("recovered %v, want the method's panic", r)
+			}
+		}()
+		_ = k.Run(NS)
+		t.Fatal("Run returned normally")
+	}()
+	if runs["a"] != 1 || runs["boom"] != 1 || runs["b"] != 0 || runs["c"] != 0 {
+		t.Fatalf("after panic: runs = %v, want a=1 boom=1", runs)
+	}
+	if err := k.Run(NS); err != nil && err != ErrDeadlock {
+		t.Fatalf("Run after panic: %v", err)
+	}
+	for name, want := range map[string]int{"a": 1, "boom": 1, "b": 1, "c": 1} {
+		if runs[name] != want {
+			t.Fatalf("after resume: runs = %v, want each process once", runs)
+		}
+	}
+}
+
 func TestCallAt(t *testing.T) {
 	k := NewKernel("t")
 	var order []Time
@@ -411,6 +452,37 @@ func TestCallAtPastRunsImmediately(t *testing.T) {
 	runKernel(t, k, 200*NS)
 	if !ran {
 		t.Fatal("never ran")
+	}
+}
+
+// TestCallAtOrderProperty: calls run in (time, CallAt order) for any
+// mix of times, including many calls at one time.
+func TestCallAtOrderProperty(t *testing.T) {
+	k := NewKernel("t")
+	rng := rand.New(rand.NewSource(3))
+	type call struct {
+		at  Time
+		seq int
+	}
+	var got []call
+	for i := 0; i < 500; i++ {
+		c := call{Time(rng.Intn(40)) * NS, i}
+		k.CallAt(c.at, func() {
+			if k.Now() != c.at {
+				t.Errorf("call %d ran at %v, want %v", c.seq, k.Now(), c.at)
+			}
+			got = append(got, c)
+		})
+	}
+	runKernel(t, k, US)
+	if len(got) != 500 {
+		t.Fatalf("%d calls ran, want 500", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.at > b.at || (a.at == b.at && a.seq > b.seq) {
+			t.Fatalf("call %v ran before %v", a, b)
+		}
 	}
 }
 
