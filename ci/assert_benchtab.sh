@@ -9,7 +9,7 @@
 #
 # Suites:
 #   base       — obs counters present on every run; scheme-specific
-#                counters on the right schemes
+#                counters on the right schemes; no stall escapes
 #   percpu     — per-CPU driver counters present, non-zero, and
 #                reconciling with the aggregates (needs -cpus 2); no
 #                stall escapes; Driver-Kernel runs allocate less than
@@ -37,11 +37,13 @@ jqe() {
   jq -e "$1" "$report" > /dev/null || fail "$2"
 }
 
-# no_stall_escapes — no Driver-Kernel skew wait gave up on its
-# wall-clock timeout in any run (absent counter = GDB scheme = 0).
+# no_stall_escapes — no Driver-Kernel or GDB-Kernel skew wait gave up
+# on its wall-clock timeout in any run (a counter absent from a run's
+# snapshot belongs to another scheme and counts as 0).
 no_stall_escapes() {
-  jqe '[.runs[] | (.counters["driver.stall_escapes"] // 0) == 0] | all' \
-    "a run recorded driver.stall_escapes > 0"
+  jqe '[.runs[] | (.counters["driver.stall_escapes"] // 0) == 0
+                 and (.counters["cosim.stall_escapes"] // 0) == 0] | all' \
+    "a run recorded driver.stall_escapes or cosim.stall_escapes > 0"
 }
 
 case $suite in
@@ -61,6 +63,7 @@ base)
   jqe '[.runs[] | select(.scheme != "Driver-Kernel")]
        | length > 0 and ([.[].counters | has("rsp.round_trips")] | all)' \
     "rsp.round_trips missing from GDB-scheme snapshots"
+  no_stall_escapes
   ;;
 
 percpu)

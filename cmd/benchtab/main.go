@@ -24,7 +24,7 @@
 // drive more than one CPU, so a multi-CPU Table 1 sweep drops the
 // GDB-Wrapper baseline and reports per-run records.
 // -dmi and -coalesce turn on the Driver-Kernel memory fast path (direct
-// memory windows / per-flush message batching; see the README's "Memory
+// memory windows / replies held to the flush point; see the README's "Memory
 // fast path" section). -quantum sets the Driver-Kernel
 // temporal-decoupling quantum (see the README's "Temporal decoupling"
 // section); empty or zero keeps per-cycle lock-step. -ablate
@@ -106,7 +106,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable metrics report")
 	noDC := flag.Bool("nodecodecache", false, "disable the ISS predecoded-instruction cache (ablation baseline)")
 	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
-	coalesce := flag.Bool("coalesce", false, "batch driver-kernel kernel->guest messages into one frame per flush")
+	coalesce := flag.Bool("coalesce", false, "hold driver-kernel DATA replies to the flush point and send DATA_READY with the end-of-cycle interrupts")
 	quantum := flag.String("quantum", "", "driver-kernel temporal-decoupling quantum (duration; empty or 0 = per-cycle lock-step)")
 	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: comma list of "dmi", "coalesce", "quantum"`)
 	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")

@@ -32,7 +32,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "traffic seed")
 	cpus := flag.Int("cpus", 1, "checksum CPUs servicing the router (gdb-kernel and driver-kernel)")
 	dmi := flag.Bool("dmi", false, "grant driver-kernel guests direct memory windows (memory fast path)")
-	coalesce := flag.Bool("coalesce", false, "batch driver-kernel kernel->guest messages into one frame per flush")
+	coalesce := flag.Bool("coalesce", false, "hold driver-kernel DATA replies to the flush point and send DATA_READY with the end-of-cycle interrupts")
 	quantum := flag.String("quantum", "", "driver-kernel temporal-decoupling quantum (duration; empty or 0 = per-cycle lock-step)")
 	vcd := flag.String("vcd", "", "write a VCD trace of queue occupancy to this file")
 	journal := flag.String("journal", "", "write a CSV journal of every co-simulation transfer to this file")

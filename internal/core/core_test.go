@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cosim/internal/asm"
 	"cosim/internal/dev"
 	"cosim/internal/iss"
+	"cosim/internal/obs"
 	"cosim/internal/rtos"
 	"cosim/internal/sim"
 )
@@ -246,6 +248,59 @@ func TestGDBKernelTimeCoupling(t *testing.T) {
 		t.Fatalf("latency %v exceeds the skew bound", lat)
 	}
 	_ = target.Wait()
+}
+
+// spinSrc is a bare-metal guest that never reaches its breakpoint, so
+// a GDB-Kernel skew wait on it can only end on the wall-clock timeout.
+const spinSrc = `
+_start:
+    j    _start
+bp_never:
+    nop
+.data
+.align 4
+v:    .word 0
+`
+
+// TestGDBKernelStallEscapeCounted is the GDB-Kernel counterpart of
+// TestSkewWaitIgnoresStaleNotify: a skew wait on an ISS that never
+// stops gives up on the wall-clock timeout, and that escape is counted
+// exactly once, in the scheme stats and in cosim.stall_escapes.
+func TestGDBKernelStallEscapeCounted(t *testing.T) {
+	cpu, im := buildBareMetal(t, spinSrc)
+	target, err := StartGDBTarget(cpu, TransportRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	k := sim.NewKernel("top")
+	g, err := NewGDBKernel(k, target.HostConn, im, GDBKernelOptions{
+		CommonOptions: CommonOptions{CPUPeriod: 10 * sim.NS, SkewBound: sim.NS, Obs: reg},
+		Bindings:      []VarBinding{{Port: "v", Var: "v", Size: 4, Dir: ToSystemC, Label: "bp_never"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.waitTimeout = 50 * time.Millisecond
+
+	start := time.Now()
+	advanceKernel(t, k, sim.US) // past outSince+skewBound: the hook must wait
+	elapsed := time.Since(start)
+	k.Shutdown()
+	_ = target.Wait()
+
+	if g.Err() != nil {
+		t.Fatal(g.Err())
+	}
+	if elapsed < g.waitTimeout/2 {
+		t.Fatalf("run took %v: the hook never waited", elapsed)
+	}
+	if got := g.Stats().StallEscapes; got != 1 {
+		t.Errorf("Stats.StallEscapes = %d, want 1", got)
+	}
+	if got := reg.Counter("cosim.stall_escapes").Load(); got != 1 {
+		t.Errorf("cosim.stall_escapes = %d, want 1", got)
+	}
 }
 
 func TestGDBWrapperEndToEnd(t *testing.T) {

@@ -29,10 +29,13 @@ import (
 // data/interrupt channel pair (the paper's 4444/4445 sockets,
 // parameterized per CPU), messages are tagged with the CPU id at
 // channel ingress, and the drain/flush hooks route READ/WRITE/INTERRUPT
-// traffic to the per-CPU state. The N guests stay in deterministic
-// lock-step because the conservative skew wait is applied per CPU: the
-// kernel never advances more than SkewBound past the minimum
-// outstanding target time across all CPUs (see DESIGN.md §5.6).
+// traffic to the per-CPU state. The conservative skew wait is applied
+// per CPU: the kernel never advances more than SkewBound past the
+// minimum outstanding target time across all CPUs (see DESIGN.md §5.6).
+// That bounds skew, not outcome: each guest executes at host speed, so
+// the simulated time its computation takes depends on how fast its
+// goroutine ran, and reruns of one spec can forward different packet
+// counts (see ROADMAP.md, item 1).
 type DriverKernel struct {
 	k *sim.Kernel
 
@@ -49,17 +52,19 @@ type DriverKernel struct {
 	// is thinned out to quantum boundaries, plus early-sync "breaks" on
 	// externally visible activity (a non-DMI port access arriving as a
 	// READ/WRITE message, an interrupt delivery, a DMI window
-	// revocation). Message ingestion and CallAt delivery stay per-cycle,
-	// so the functional outcome is quantum-invariant — only the coupling
-	// cadence (and therefore the wall clock) changes. nextQuantum is the
-	// next boundary; kernel context only.
+	// revocation). Message ingestion and CallAt delivery stay per-cycle;
+	// the quantum changes the coupling cadence, and with it how much
+	// simulated time the wall-paced guests get, so a workload that does
+	// not complete every packet can forward a different count at each
+	// quantum (see ROADMAP.md, item 1). nextQuantum is the next
+	// boundary; kernel context only.
 	quantum     sim.Time
 	nextQuantum sim.Time
 
 	// dmi grants each CPU's bridge device direct windows into the
-	// side-effect-free backing memory of its bound ports; coalesce packs
-	// the kernel->guest messages accumulated between flush points into
-	// one BATCH envelope per transport write. Both are attach-time
+	// side-effect-free backing memory of its bound ports; coalesce holds
+	// DATA replies until the drain's flush point and lets DATA_READY
+	// ride the end-of-cycle interrupt fan-out. Both are attach-time
 	// choices (DriverKernelOptions) — the hot paths branch on plain
 	// bools, never on configuration lookups.
 	dmi      bool
@@ -109,10 +114,10 @@ type driverCPU struct {
 
 	pendingReads []*binding
 	intQueue     []uint32
-	irqBuf       [4]byte // scratch for interrupt notifications (kernel context only)
+	irqBuf       []byte // encoded interrupt ids, reused per write (kernel context only)
 
 	rdErr  error // reader goroutine's terminal error; guarded by d.mu
-	hadMsg bool  // batch scratch: a message from this CPU was drained
+	hadMsg bool  // drain scratch: a message from this CPU was drained
 
 	// syncBreak marks an early-sync cause observed for this CPU in
 	// quantum mode (message arrival, served READ, interrupt delivery,
@@ -127,10 +132,12 @@ type driverCPU struct {
 	dmiActive atomic.Bool
 	stagedBuf []dev.StagedWrite
 
-	// outBatch accumulates kernel->guest DATA messages between flush
-	// points when coalescing is on; flushChannels writes it as one
-	// BATCH envelope. Kernel context only.
-	outBatch []Message
+	// outBuf accumulates the encoded DATA frames of replies held until
+	// the next flush point when coalescing is on, and outFrames counts
+	// them; flushChannels writes the concatenation in one call. Kernel
+	// context only.
+	outBuf    []byte
+	outFrames int
 
 	obs driverCPUObs
 }
@@ -263,10 +270,11 @@ type DriverKernelOptions struct {
 	// DMI grants direct memory windows over each channel's bound ports
 	// (requires the channel to carry a granter). Off by default.
 	DMI bool
-	// Coalesce packs the kernel->guest messages accumulated between
-	// flush points into versioned BATCH envelopes, one transport write
-	// per flush. The guest-side device must unwrap envelopes (its read
-	// pump is switched to frame mode by the harness). Off by default.
+	// Coalesce holds DATA replies until the drain's flush point, where
+	// each CPU's held frames go out as one transport write of plain
+	// concatenated frames, and lets the DATA_READY wakeup ride the
+	// end-of-cycle interrupt fan-out instead of its own write. Off by
+	// default.
 	Coalesce bool
 }
 
@@ -341,15 +349,11 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 
 		// Reader goroutine: decode frames from this CPU's data socket
 		// into the shared inbox, tagged with the CPU id so the drain
-		// hook routes them to the right per-CPU state. ReadMessages
-		// accepts plain frames and BATCH envelopes alike, so the reader
-		// is coalescing-agnostic.
+		// hook routes them to the right per-CPU state.
 		go func(c *driverCPU, r io.Reader) {
 			br := bufio.NewReader(r)
-			var batch []Message
 			for {
-				var err error
-				batch, err = ReadMessages(br, batch[:0])
+				m, err := ReadMessage(br)
 				if err != nil {
 					d.mu.Lock()
 					c.rdErr = err
@@ -362,11 +366,9 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 					}
 					return
 				}
+				m.CPU = c.id
 				d.mu.Lock()
-				for i := range batch {
-					batch[i].CPU = c.id
-					d.inbox = append(d.inbox, batch[i])
-				}
+				d.inbox = append(d.inbox, m)
 				d.mu.Unlock()
 				select {
 				case d.notify <- struct{}{}:
@@ -759,32 +761,32 @@ func (d *DriverKernel) lockstepWait(k *sim.Kernel) {
 	}
 }
 
-// flushChannels writes each CPU's coalesced replies as one BATCH
-// envelope at the three hook boundaries — after the reply loops, before
-// a conservative wait, after the interrupt fan-out — so a batched DATA
-// reply is never left unsent past a point the guest may block on it.
-// Without coalescing there is nothing to write.
+// flushChannels writes each CPU's held DATA frames in one call at the
+// three hook boundaries — after the reply loops, before a conservative
+// wait, after the interrupt fan-out — so a held reply is never left
+// unsent past a point the guest may block on it. The guest reads a
+// byte stream and reassembles frames itself, so a concatenation of
+// frames needs no envelope. Without coalescing there is nothing to
+// write.
 func (d *DriverKernel) flushChannels() {
 	for _, c := range d.cpus {
-		if len(c.outBatch) > 0 {
-			n := len(c.outBatch)
-			if err := WriteBatch(c.dataW, c.outBatch); err != nil && d.err == nil {
-				d.err = c.errf("data socket batch: %w", err)
-			}
-			if n > 1 {
-				transport.RecordBatch(c.dataW, n)
-			}
-			for i := range c.outBatch {
-				c.outBatch[i] = Message{}
-			}
-			c.outBatch = c.outBatch[:0]
+		if c.outFrames == 0 {
+			continue
 		}
+		if _, err := c.dataW.Write(c.outBuf); err != nil && d.err == nil {
+			d.err = c.errf("data socket (%d frames): %w", c.outFrames, err)
+		}
+		if c.outFrames > 1 {
+			transport.RecordBatch(c.dataW, c.outFrames)
+		}
+		c.outBuf = c.outBuf[:0]
+		c.outFrames = 0
 	}
 }
 
 // releaseFrom hands the pooled payload buffers of msgs[i:] back to the
 // codec pool. Error exits from the drain loop call it so a poisoned
-// batch does not leak the buffers of the messages it never processed.
+// inbox does not leak the buffers of the messages it never processed.
 // Releasing by index keeps the pooled pointer and the visible slice
 // element in sync (releasing a copy would leave msgs[i].Data dangling).
 func releaseFrom(msgs []Message, i int) {
@@ -833,7 +835,7 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	}
 
 	// Conservative sync: wait for lagging guests instead of letting
-	// simulated time race past an outstanding request. Batched replies
+	// simulated time race past an outstanding request. Held replies
 	// must be on the wire first, or the wait would stall on a guest
 	// that is itself waiting for an unflushed frame. Under temporal
 	// decoupling the sync runs only at quantum boundaries and breaks;
@@ -930,22 +932,19 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 
 // reply sends the current iss_out port value as a DATA message followed
 // by a DATA_READY interrupt so a WFI-parked guest wakes up. With
-// coalescing on, the DATA frame joins the CPU's accumulating batch
-// (written as one envelope at the next flush point, still within this
-// hook) and the wakeup rides the end-of-cycle interrupt fan-out — safe
-// because the guest's RX-available level interrupt fires on the data
-// itself.
+// coalescing on, the encoded DATA frame is held in the CPU's output
+// buffer (written at the next flush point, still within this hook) and
+// the wakeup rides the end-of-cycle interrupt fan-out — safe because
+// the guest's RX-available level interrupt fires on the data itself.
 func (d *DriverKernel) reply(c *driverCPU, b *binding) {
+	m := Message{Type: MsgData, Data: b.outPort.Bytes()}
 	if d.coalesce {
-		// The payload references the port's buffer; flushChannels runs
-		// before any kernel process can overwrite it.
-		c.outBatch = append(c.outBatch, Message{Type: MsgData, Data: b.outPort.Bytes()})
+		c.outBuf, _ = m.AppendTo(c.outBuf) // a DATA frame always encodes
+		c.outFrames++
 		c.intQueue = append(c.intQueue, IntDataReady)
-	} else {
-		if err := WriteMessage(c.dataW, Message{Type: MsgData, Data: b.outPort.Bytes()}); err != nil {
-			d.err = c.errf("data socket (port %q): %w", b.spec.Port, err)
-			return
-		}
+	} else if err := WriteMessage(c.dataW, m); err != nil {
+		d.err = c.errf("data socket (port %q): %w", b.spec.Port, err)
+		return
 	}
 	b.consumed = b.outPort.Writes()
 	b.outPort.Consumed()
@@ -977,25 +976,34 @@ func (d *DriverKernel) reply(c *driverCPU, b *binding) {
 	if d.coalesce {
 		return
 	}
-	if err := c.sendInterrupt(IntDataReady); err != nil {
+	if err := c.sendInterrupts(IntDataReady); err != nil {
 		d.err = err
 	}
 }
 
-// sendInterrupt writes one 4-byte notification through this CPU's
-// reusable scratch buffer. Only called from kernel context (cycle
-// hooks), so the scratch needs no locking.
-func (c *driverCPU) sendInterrupt(id uint32) error {
-	binary.LittleEndian.PutUint32(c.irqBuf[:], id)
-	if _, err := c.irqW.Write(c.irqBuf[:]); err != nil {
-		return c.errf("interrupt socket (int %d): %w", id, err)
+// sendInterrupts writes ids to this CPU's interrupt socket in one call,
+// each as a 4-byte little-endian notification, through the CPU's
+// reusable scratch buffer. The guest-side pump reads 4-byte ids in a
+// loop, so a concatenation of notifications needs no envelope. Only
+// called from kernel context (cycle hooks), so the scratch needs no
+// locking.
+func (c *driverCPU) sendInterrupts(ids ...uint32) error {
+	c.irqBuf = c.irqBuf[:0]
+	for _, id := range ids {
+		c.irqBuf = binary.LittleEndian.AppendUint32(c.irqBuf, id)
+	}
+	if _, err := c.irqW.Write(c.irqBuf); err != nil {
+		return c.errf("interrupt socket (%d ids, first %d): %w", len(ids), ids[0], err)
+	}
+	if len(ids) > 1 {
+		transport.RecordBatch(c.irqW, len(ids))
 	}
 	return nil
 }
 
 // flushInterrupts is the end-of-cycle hook of Figure 5, fanned out per
-// CPU: each queued interrupt goes to its own CPU's interrupt socket,
-// never to a neighbour's.
+// CPU: each CPU's queued interrupts go to its own interrupt socket in
+// one write, never to a neighbour's.
 func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 	if d.err != nil {
 		return
@@ -1004,34 +1012,14 @@ func (d *DriverKernel) flushInterrupts(k *sim.Kernel) {
 		if len(c.intQueue) == 0 {
 			continue
 		}
-		if d.coalesce && len(c.intQueue) > 1 {
-			// One transport write for the whole queue: the guest-side
-			// pump reads 4-byte ids in a loop, so a concatenation of
-			// notifications needs no envelope.
-			buf := make([]byte, 0, 4*len(c.intQueue))
-			for _, id := range c.intQueue {
-				buf = binary.LittleEndian.AppendUint32(buf, id)
-			}
-			if _, err := c.irqW.Write(buf); err != nil {
-				d.err = c.errf("interrupt socket (batch of %d): %w", len(c.intQueue), err)
-				return
-			}
-			transport.RecordBatch(c.irqW, len(c.intQueue))
-			n := uint64(len(c.intQueue))
-			d.stats.IntsNotified += n
-			d.obs.interrupts.Add(n)
-			c.obs.interrupts.Add(n)
-		} else {
-			for _, id := range c.intQueue {
-				if err := c.sendInterrupt(id); err != nil {
-					d.err = err
-					return
-				}
-				d.stats.IntsNotified++
-				d.obs.interrupts.Inc()
-				c.obs.interrupts.Inc()
-			}
+		if err := c.sendInterrupts(c.intQueue...); err != nil {
+			d.err = err
+			return
 		}
+		n := uint64(len(c.intQueue))
+		d.stats.IntsNotified += n
+		d.obs.interrupts.Add(n)
+		c.obs.interrupts.Add(n)
 		c.intQueue = c.intQueue[:0]
 		// An interrupt usually solicits guest work; treat it as a
 		// request for skew-bound purposes.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -544,5 +545,100 @@ func TestChannelCountValidation(t *testing.T) {
 		DriverKernelOptions{CommonOptions: CommonOptions{CPUs: 3}})
 	if err == nil {
 		t.Fatal("CPUs=3 with one channel accepted")
+	}
+}
+
+// writeLog records every Write call as one entry, and the frame counts
+// reported to it through transport.RecordBatch. Only the kernel side
+// writes to it, from the test goroutine, so it needs no lock.
+type writeLog struct {
+	writes  [][]byte
+	batches []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (w *writeLog) RecordBatch(n int) { w.batches = append(w.batches, n) }
+
+// TestCoalescedFlushWritesPlainFrames drives the multi-frame flush that
+// real traffic never reaches (a guest has one READ outstanding at a
+// time): with two READs pending on one CPU, the drain that serves both
+// must write them as one call holding two plain DATA frames, with no
+// envelope, and report 2 to the writer; the two DATA_READY wakeups of
+// that cycle go out as one 8-byte interrupt write.
+func TestCoalescedFlushWritesPlainFrames(t *testing.T) {
+	k := sim.NewKernel("t")
+	guestR, guestW := io.Pipe()
+	data, irq := &writeLog{}, &writeLog{}
+	// The data channel reads the guest's frames from the pipe and logs
+	// the kernel's writes; embedding *writeLog keeps RecordBatch visible.
+	d, err := NewDriverKernel(k, struct {
+		io.Reader
+		*writeLog
+	}{guestR, data}, irq, DriverKernelOptions{
+		Ports: []VarBinding{
+			{Port: "a", Dir: ToISS, Size: 4},
+			{Port: "b", Dir: ToISS, Size: 4},
+		},
+		Coalesce: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		guestW.Close()
+		k.Shutdown()
+	})
+
+	go func() {
+		_ = WriteMessage(guestW, Message{Type: MsgRead, Cycles: 1, Port: "a"})
+		_ = WriteMessage(guestW, Message{Type: MsgRead, Cycles: 2, Port: "b"})
+	}()
+	waitInbox(t, d, 2)
+	d.drain(k) // neither port written yet: both READs stay pending
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	if len(data.writes) != 0 {
+		t.Fatalf("%d data writes before any port was written", len(data.writes))
+	}
+
+	a, _ := k.IssOutPort("a")
+	b, _ := k.IssOutPort("b")
+	a.WriteUint32(0x11)
+	b.WriteUint32(0x22)
+	d.drain(k)
+	d.flushInterrupts(k)
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+
+	if len(data.writes) != 1 {
+		t.Fatalf("data writes = %d, want 1", len(data.writes))
+	}
+	var want []byte
+	for _, v := range []byte{0x11, 0x22} {
+		want, _ = Message{Type: MsgData, Data: []byte{v, 0, 0, 0}}.AppendTo(want)
+	}
+	if got := data.writes[0]; !bytes.Equal(got, want) {
+		t.Fatalf("data write\n got % x\nwant % x", got, want)
+	}
+	if len(data.batches) != 1 || data.batches[0] != 2 {
+		t.Fatalf("data RecordBatch calls = %v, want [2]", data.batches)
+	}
+
+	le := binary.LittleEndian
+	wantIRQ := le.AppendUint32(le.AppendUint32(nil, IntDataReady), IntDataReady)
+	if len(irq.writes) != 1 || !bytes.Equal(irq.writes[0], wantIRQ) {
+		t.Fatalf("interrupt writes = % x, want one write of % x", irq.writes, wantIRQ)
+	}
+	if len(irq.batches) != 1 || irq.batches[0] != 2 {
+		t.Fatalf("interrupt RecordBatch calls = %v, want [2]", irq.batches)
+	}
+	if d.stats.IntsNotified != 2 {
+		t.Fatalf("IntsNotified = %d, want 2", d.stats.IntsNotified)
 	}
 }

@@ -20,7 +20,7 @@ type Stats struct {
 	DMIMisses     uint64 // windowed-port accesses that fell back to messages
 	QuantumSyncs  uint64 // conservative syncs at quantum boundaries (per CPU)
 	QuantumBreaks uint64 // early syncs forced before a quantum boundary (per CPU)
-	StallEscapes  uint64 // skew waits abandoned on the wall-clock timeout (Driver-Kernel)
+	StallEscapes  uint64 // skew waits abandoned on the wall-clock timeout (Driver-Kernel, GDB-Kernel)
 }
 
 // engineObs holds the GDB-scheme hot-path metrics, pre-resolved at
@@ -35,6 +35,9 @@ type engineObs struct {
 	toISS      *obs.Counter // sc->iss variable pokes
 	skewWaits  *obs.Counter
 	skewWaitNS *obs.Histogram
+	// stallEscapes counts skew waits abandoned on the wall-clock
+	// timeout (GDB-Kernel only: the wrapper never waits).
+	stallEscapes *obs.Counter
 }
 
 func (o *engineObs) init(r *obs.Registry) {
@@ -46,6 +49,7 @@ func (o *engineObs) init(r *obs.Registry) {
 	o.toISS = r.Counter("cosim.transfers_to_iss")
 	o.skewWaits = r.Counter("cosim.skew_waits")
 	o.skewWaitNS = r.Histogram("cosim.skew_wait_ns")
+	o.stallEscapes = r.Counter("cosim.stall_escapes")
 }
 
 // publishRSP copies the RSP transport totals of cl into the registry.

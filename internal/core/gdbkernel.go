@@ -19,8 +19,9 @@ import (
 // ISS (Figure 3).
 type GDBKernel struct {
 	gdbEngine
-	running bool
-	err     error
+	running     bool
+	err         error
+	waitTimeout time.Duration // how long a conservative wait may block
 }
 
 // GDBKernelOptions configures the scheme.
@@ -37,7 +38,7 @@ type GDBKernelOptions struct {
 // the line table). The client uses a reader goroutine so the per-cycle
 // poll is an in-process check.
 func NewGDBKernel(k *sim.Kernel, conn io.ReadWriter, im *asm.Image, opts GDBKernelOptions) (*GDBKernel, error) {
-	g := &GDBKernel{}
+	g := &GDBKernel{waitTimeout: time.Second}
 	g.k = k
 	g.cl = gdb.NewClient(conn, gdb.ClientOptions{UseReaderGoroutine: true})
 	g.period = opts.CPUPeriod
@@ -113,13 +114,16 @@ func (g *GDBKernel) hook(k *sim.Kernel) {
 	if g.mustBlock() {
 		// Conservative sync: hold simulated time until the ISS responds
 		// (bounded wall wait; on timeout give up on this request so the
-		// simulation doesn't stall).
+		// simulation doesn't stall, and count the escape: the skew bound
+		// no longer holds).
 		g.obs.skewWaits.Inc()
 		sp := g.obs.skewWaitNS.Start()
-		ev, stopped, err = g.cl.WaitStopTimeout(time.Second)
+		ev, stopped, err = g.cl.WaitStopTimeout(g.waitTimeout)
 		sp.End()
 		if err == nil && !stopped {
 			g.outstanding = false
+			g.stats.StallEscapes++
+			g.obs.stallEscapes.Inc()
 		}
 	} else {
 		ev, stopped, err = g.cl.PollStop()

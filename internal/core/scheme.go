@@ -28,8 +28,11 @@ type CommonOptions struct {
 	// this much, and the per-cycle conservative synchronization (flush +
 	// skew-bounded wait) happens only at quantum boundaries or on an
 	// early-sync break — a non-DMI port access, an interrupt delivery,
-	// or a DMI window revocation. Zero keeps today's per-cycle
-	// lock-step. Ignored by the GDB schemes.
+	// or a DMI window revocation. Zero keeps per-cycle lock-step.
+	// Ignored by the GDB schemes. Guests execute at host speed, so the
+	// simulated time their computation takes depends on the cadence: a
+	// workload that does not complete every packet can forward a
+	// different count at each quantum (see ROADMAP.md, item 1).
 	Quantum sim.Time
 	// Journal, when non-nil, records every transfer.
 	Journal *Journal
@@ -111,8 +114,10 @@ type Config struct {
 	// their bound ports (channels must carry a DMI granter to benefit).
 	// Ignored by the GDB schemes.
 	DMI bool
-	// Coalesce batches the Driver-Kernel's kernel->guest messages into
-	// one BATCH envelope per flush point. Ignored by the GDB schemes.
+	// Coalesce holds the Driver-Kernel's DATA replies until the drain's
+	// flush point (one write of plain frames per CPU) and lets
+	// DATA_READY ride the end-of-cycle interrupt fan-out. Ignored by the
+	// GDB schemes.
 	Coalesce bool
 }
 

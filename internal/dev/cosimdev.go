@@ -1,7 +1,6 @@
 package dev
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,20 +8,14 @@ import (
 )
 
 // Driver-Kernel wire values the device must recognise to intercept
-// guest frames for DMI windows and to unwrap BATCH envelopes for the
-// guest's frame parser. They mirror internal/core's MsgWrite/MsgRead/
-// MsgData/MsgBatch — dev sits below core in the import graph (core
+// guest frames for DMI windows. They mirror internal/core's MsgWrite/
+// MsgRead/MsgData — dev sits below core in the import graph (core
 // wires platforms to transports), so the constants are restated here,
 // exactly as the guest driver assembly restates them.
 const (
 	cosimMsgWrite = 1
 	cosimMsgRead  = 2
 	cosimMsgData  = 3
-	cosimMsgBatch = 4
-
-	cosimBatchVersion = 1
-	cosimMaxFrame     = 1 << 16
-	cosimMaxBatch     = 1 << 20
 )
 
 // CosimDev register offsets.
@@ -72,11 +65,6 @@ type CosimDev struct {
 	// locally; everything else goes to the data socket unchanged.
 	windows map[string]*Window
 
-	// decodeBatches makes the data-socket read pump frame-aware so it
-	// can unwrap kernel BATCH envelopes into the ordinary frames the
-	// guest driver's parser expects. Set before ConnectData.
-	decodeBatches bool
-
 	txMessages uint64
 	rxBytes    uint64
 }
@@ -115,22 +103,18 @@ func (d *CosimDev) refresh() {
 }
 
 // ConnectData attaches the data socket. Writes flushed by the guest go
-// to w; bytes arriving on r become readable through CosimRxByte. The
-// read pump runs until r is exhausted. Reattaching the data socket is a
+// to w; bytes arriving on r become readable through CosimRxByte, as
+// they arrive — the guest driver reassembles frames itself. The read
+// pump runs until r is exhausted. Reattaching the data socket is a
 // device reconfiguration: every granted DMI window is revoked, so a
 // stale grant can never serve reads that belong on the new connection.
 func (d *CosimDev) ConnectData(r io.Reader, w io.Writer) {
 	d.mu.Lock()
 	d.data = w
 	revoked := takeWindows(&d.windows)
-	frameMode := d.decodeBatches
 	d.mu.Unlock()
 	for _, win := range revoked {
 		win.Revoke()
-	}
-	if frameMode {
-		go d.framePump(r)
-		return
 	}
 	go func() {
 		buf := make([]byte, 4096)
@@ -160,57 +144,6 @@ func takeWindows(m *map[string]*Window) []*Window {
 	}
 	*m = nil
 	return ws
-}
-
-// DecodeBatches switches the data-socket read pump into frame mode:
-// arriving bytes are reassembled into protocol frames and kernel BATCH
-// envelopes are unwrapped, injecting their inner frames verbatim, so
-// the guest driver's one-frame-at-a-time parser never sees an
-// envelope. Call before ConnectData. The kernel side enables it
-// whenever message coalescing is on.
-func (d *CosimDev) DecodeBatches() {
-	d.mu.Lock()
-	d.decodeBatches = true
-	d.mu.Unlock()
-}
-
-// framePump is the frame-aware data-socket read pump: it reassembles
-// size-prefixed frames and flattens BATCH envelopes. A malformed
-// stream stops the pump exactly as a read error does — the guest then
-// blocks on RX, surfacing the broken link instead of parsing garbage.
-func (d *CosimDev) framePump(r io.Reader) {
-	br := bufio.NewReaderSize(r, 4096)
-	le := binary.LittleEndian
-	frame := make([]byte, 0, 4096)
-	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		size := le.Uint32(hdr[:])
-		if size < 4 || size > cosimMaxBatch {
-			return
-		}
-		if cap(frame) < int(size)+4 {
-			frame = make([]byte, 0, int(size)+4)
-		}
-		frame = append(frame[:0], hdr[:]...)
-		frame = frame[:4+size]
-		if _, err := io.ReadFull(br, frame[4:]); err != nil {
-			return
-		}
-		if le.Uint32(frame[4:8]) != cosimMsgBatch {
-			d.InjectRx(frame)
-			continue
-		}
-		if size < 12 || le.Uint32(frame[8:12]) != cosimBatchVersion {
-			return
-		}
-		// The envelope payload is a concatenation of ordinary
-		// size-prefixed frames — exactly the byte stream a non-coalescing
-		// kernel would have written — so it injects verbatim.
-		d.InjectRx(frame[16:])
-	}
 }
 
 // GrantDMIWindow implements DMIGranter: guest frames naming port are

@@ -139,11 +139,12 @@ func perCPUName(cpu int, metric string) string {
 	return "driver.cpu" + string(rune('0'+cpu)) + "." + metric
 }
 
-// TestCoalesceAcceptsBatchedStream pins the envelope path end to end:
-// with coalescing on (and DMI off, so replies still flow as messages)
-// the guest-side frame pump decodes whatever mix of plain frames and
-// envelopes the kernel emits, and the run stays functionally identical
-// — the checksum replies parse, packets forward, integrity holds.
+// TestCoalesceAcceptsBatchedStream pins coalescing end to end: with
+// coalescing on (and DMI off, so replies still flow as messages) DATA
+// replies are held to the drain's flush point and DATA_READY rides the
+// end-of-cycle interrupt fan-out, and the guest driver, which
+// reassembles frames from the raw byte stream, still parses every reply
+// — packets forward and integrity holds.
 func TestCoalesceAcceptsBatchedStream(t *testing.T) {
 	for _, tr := range []core.Transport{core.TransportTCP, nil} { // nil = default ring backend
 		res, err := Run(dmiParams(false, true).withTransport(tr))

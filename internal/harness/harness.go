@@ -114,6 +114,10 @@ type Params struct {
 	// synchronization only at quantum boundaries and on early-sync
 	// breaks (port access, interrupt delivery, DMI revocation). Zero
 	// (the default) keeps per-cycle lock-step. Ignored by GDB schemes.
+	// Guests execute at host speed, so the simulated time their
+	// computation takes depends on the cadence: a workload that does not
+	// complete every packet can forward a different count at each
+	// quantum (see ROADMAP.md, item 1).
 	Quantum sim.Time
 	// InstrPerCycle is the GDB-Wrapper lock-step quantum (default 8).
 	InstrPerCycle uint64
@@ -142,10 +146,9 @@ type Params struct {
 	// bound ports, serving side-effect-free port accesses without a
 	// protocol message (benchtab's -dmi flag). Ignored by GDB schemes.
 	DMI bool
-	// Coalesce batches the Driver-Kernel's kernel->guest messages into
-	// one BATCH envelope per flush point and switches the guest device's
-	// read pump to frame mode (benchtab's -coalesce flag). Ignored by
-	// GDB schemes.
+	// Coalesce holds the Driver-Kernel's DATA replies until the drain's
+	// flush point and lets DATA_READY ride the end-of-cycle interrupt
+	// fan-out (benchtab's -coalesce flag). Ignored by GDB schemes.
 	Coalesce bool
 
 	// Trace, when set, receives a VCD of router occupancy.
@@ -376,12 +379,6 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 				return nil, err
 			}
 			plat.CPU.Reset(im.Entry)
-			if p.Coalesce {
-				// BATCH envelopes are a host-side framing; the guest
-				// driver parses one frame at a time, so the device's read
-				// pump must unwrap them.
-				plat.Cosim.DecodeBatches()
-			}
 			target, err := core.ConnectDriverTarget(plat, tr)
 			if err != nil {
 				return nil, err

@@ -50,7 +50,7 @@ type Spec struct {
 
 	// Memory fast path (Driver-Kernel scheme; see README "Memory fast
 	// path"). DMI grants guests direct memory windows over their bound
-	// ports; Coalesce batches kernel->guest messages per flush.
+	// ports; Coalesce holds DATA replies until the drain's flush point.
 	DMI      bool `json:"dmi,omitempty"`
 	Coalesce bool `json:"coalesce,omitempty"`
 
@@ -58,7 +58,10 @@ type Spec struct {
 	// README's "Temporal decoupling" section): guests sync with kernel
 	// time only at quantum boundaries or on an early-sync break. Empty
 	// or zero keeps per-cycle lock-step (the default, which for this
-	// field is also the meaningful zero value).
+	// field is also the meaningful zero value). Guests execute at host
+	// speed, so the simulated time their computation takes depends on
+	// the cadence: a workload that does not complete every packet can
+	// forward a different count at each quantum (ROADMAP.md, item 1).
 	Quantum string `json:"quantum,omitempty"`
 }
 

@@ -7,7 +7,9 @@ import "cosim/internal/obs"
 //	transport.<name>.pairs        — endpoint pairs constructed
 //	transport.<name>.tx_bytes     — bytes written by the kernel (host) side
 //	transport.<name>.rx_bytes     — bytes read by the kernel (host) side
-//	transport.<name>.batched_msgs — messages coalesced into BATCH writes
+//	transport.<name>.batched_msgs — frames or interrupt ids written
+//	                                together, summed over writes of two
+//	                                or more
 //
 // Only the host end is counted — both directions of the channel cross
 // it, so guest-side counting would double every byte. The counter

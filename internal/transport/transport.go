@@ -62,7 +62,7 @@ func Flush(w io.Writer) error {
 
 // BatchRecorder is optionally implemented by endpoints that account for
 // message coalescing (Observed's counted endpoints). A protocol writer
-// that packs n>1 messages into one envelope reports it here so the
+// that packs n>1 messages into one write reports it here so the
 // transport layer can expose coalescing effectiveness without decoding
 // frames itself.
 type BatchRecorder interface {
