@@ -10,6 +10,7 @@
 # Suites:
 #   base       — obs counters present on every run; scheme-specific
 #                counters on the right schemes; no stall escapes
+#                (needs -timing for sim.cycle_hook_ns)
 #   percpu     — per-CPU driver counters present, non-zero, and
 #                reconciling with the aggregates (needs -cpus 2); no
 #                stall escapes; Driver-Kernel runs allocate less than

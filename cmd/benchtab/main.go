@@ -109,6 +109,7 @@ func main() {
 	coalesce := flag.Bool("coalesce", false, "hold driver-kernel DATA replies to the flush point and send DATA_READY with the end-of-cycle interrupts")
 	quantum := flag.String("quantum", "", "driver-kernel temporal-decoupling quantum (duration; empty or 0 = per-cycle lock-step)")
 	ablate := flag.String("ablate", "", `cross-sweep driver-kernel axes: comma list of "dmi", "coalesce", "quantum"`)
+	timing := flag.Bool("timing", false, "record the wall-clock timers (sim.cycle_hook_ns, *.skew_wait_ns) in every run; off by default")
 	serverURL := flag.String("server", "", "drive a running cosimd at this base URL instead of simulating in-process")
 	flag.Parse()
 
@@ -120,7 +121,7 @@ func main() {
 	// validated request shape a cosimd session POST carries. benchtab
 	// sweeps schemes itself, so the base spec carries a placeholder
 	// scheme that every scenario overwrites.
-	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi, Coalesce: *coalesce, Quantum: *quantum}
+	baseSpec := harness.Spec{Scheme: "gdb-kernel", Delay: *delay, Seed: *seed, CPUs: *cpus, NoDecodeCache: *noDC, DMI: *dmi, Coalesce: *coalesce, Quantum: *quantum, Timing: *timing}
 	base, err := baseSpec.Params()
 	if err != nil {
 		fatal(err)

@@ -38,6 +38,7 @@ func main() {
 	journal := flag.String("journal", "", "write a CSV journal of every co-simulation transfer to this file")
 	metricsOut := flag.String("metrics", "", "write the run's obs metrics snapshot (JSON) to this file")
 	expvarAddr := flag.String("expvar", "", "serve live metrics over HTTP on this address (GET /debug/vars)")
+	timing := flag.Bool("timing", false, "record the wall-clock timers (sim.cycle_hook_ns, *.skew_wait_ns); off by default")
 	flag.Parse()
 
 	// The flag surface assembles a wire-form Spec — the same validated
@@ -57,6 +58,7 @@ func main() {
 		DMI:           *dmi,
 		Coalesce:      *coalesce,
 		Quantum:       *quantum,
+		Timing:        *timing,
 	}
 	p, err := spec.Params()
 	if err != nil {

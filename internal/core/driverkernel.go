@@ -73,6 +73,15 @@ type DriverKernel struct {
 	mu     sync.Mutex
 	inbox  []Message     // CPU-tagged, drained by the begin-of-cycle hook; guarded by mu
 	notify chan struct{} // signalled by a reader when messages arrive
+	// mail is set by a reader, while it holds mu, whenever it appends to
+	// inbox or stores its rdErr, and cleared by the drain in the same
+	// critical section that swaps the inbox out. A cycle with no guest
+	// traffic therefore sees it false and takes no lock.
+	mail atomic.Bool
+	// spareInbox is the slice the previous drain finished iterating; the
+	// next drain swaps it in as the empty inbox, so the readers append
+	// into reused storage. Kernel context only.
+	spareInbox []Message
 
 	cpus []*driverCPU
 
@@ -116,8 +125,13 @@ type driverCPU struct {
 	intQueue     []uint32
 	irqBuf       []byte // encoded interrupt ids, reused per write (kernel context only)
 
-	rdErr  error // reader goroutine's terminal error; guarded by d.mu
-	hadMsg bool  // drain scratch: a message from this CPU was drained
+	rdErr error // reader goroutine's terminal error; guarded by d.mu
+	// readErr is the kernel's copy of rdErr, taken in the drain's
+	// critical section. The error may arrive in the same batch as the
+	// CPU's last message and must still surface on a later cycle, when
+	// no mail (and no lock) brings it back. Kernel context only.
+	readErr error
+	hadMsg  bool // drain scratch: a message from this CPU was drained
 
 	// syncBreak marks an early-sync cause observed for this CPU in
 	// quantum mode (message arrival, served READ, interrupt delivery,
@@ -357,6 +371,7 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 				if err != nil {
 					d.mu.Lock()
 					c.rdErr = err
+					d.mail.Store(true)
 					d.mu.Unlock()
 					// Wake a conservative wait so it can surface the
 					// error instead of sleeping out its timeout.
@@ -369,6 +384,7 @@ func NewDriverKernelMulti(k *sim.Kernel, channels []DriverChannel, opts DriverKe
 				m.CPU = c.id
 				d.mu.Lock()
 				d.inbox = append(d.inbox, m)
+				d.mail.Store(true)
 				d.mu.Unlock()
 				select {
 				case d.notify <- struct{}{}:
@@ -653,11 +669,13 @@ func (d *DriverKernel) quantumSync(k *sim.Kernel) bool {
 	}
 	// A message sitting in the inbox is a guest port access the drain is
 	// about to serve; sync so the lock-step invariants hold around it.
-	d.mu.Lock()
-	for _, m := range d.inbox {
-		d.cpus[m.CPU].syncBreak = true
+	if d.mail.Load() {
+		d.mu.Lock()
+		for _, m := range d.inbox {
+			d.cpus[m.CPU].syncBreak = true
+		}
+		d.mu.Unlock()
 	}
-	d.mu.Unlock()
 	due := false
 	for _, c := range d.cpus {
 		if !c.syncBreak {
@@ -845,10 +863,20 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 		d.lockstepWait(k)
 	}
 
-	d.mu.Lock()
-	msgs := d.inbox
-	d.inbox = nil
-	d.mu.Unlock()
+	// Take the mail only when a reader posted some: swap the inbox for
+	// the slice the last drain finished with and copy the reader errors
+	// in one critical section.
+	var msgs []Message
+	if d.mail.Load() {
+		d.mu.Lock()
+		d.inbox, d.spareInbox = d.spareInbox[:0], d.inbox
+		d.mail.Store(false)
+		for _, c := range d.cpus {
+			c.readErr = c.rdErr
+		}
+		d.mu.Unlock()
+		msgs = d.spareInbox
+	}
 
 	// A conservative wait may have ended on window activity rather than
 	// a message; reconcile again so that activity lands this cycle.
@@ -864,9 +892,7 @@ func (d *DriverKernel) drain(k *sim.Kernel) {
 	// normal guest shutdown; an unexpected EOF mid-message (or any
 	// wrapped error) is a real connection failure.
 	for _, c := range d.cpus {
-		d.mu.Lock()
-		err := c.rdErr
-		d.mu.Unlock()
+		err := c.readErr
 		if err == nil || c.hadMsg || d.err != nil {
 			continue
 		}

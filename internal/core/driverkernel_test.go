@@ -642,3 +642,106 @@ func TestCoalescedFlushWritesPlainFrames(t *testing.T) {
 		t.Fatalf("IntsNotified = %d, want 2", d.stats.IntsNotified)
 	}
 }
+
+// TestReadErrorInLastBatchSurfacesLater: a reader error that lands in
+// the same drained batch as the CPU's final message is held while that
+// message is served, and must still become the scheme error on a later
+// cycle — one with no mail, where the drain takes no lock and reads
+// only its own copy of the error.
+func TestReadErrorInLastBatchSurfacesLater(t *testing.T) {
+	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
+		Ports: []VarBinding{{Port: "out", Dir: ToISS, Size: 4}},
+	})
+	go func() {
+		_ = WriteMessage(guest, Message{Type: MsgRead, Cycles: 5, Port: "out"})
+		// A 12-byte body announced, 4 delivered: a mid-message EOF.
+		_, _ = guest.Write([]byte{12, 0, 0, 0, 1, 0, 0, 0})
+		guest.Close()
+	}()
+	if err := waitReadErr(t, d, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("reader error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	d.mu.Lock()
+	queued := len(d.inbox)
+	d.mu.Unlock()
+	if queued != 1 {
+		t.Fatalf("inbox holds %d messages before the drain, want the final READ", queued)
+	}
+
+	d.drain(k)
+	if d.stats.Messages != 1 {
+		t.Fatalf("first drain served %d messages, want 1", d.stats.Messages)
+	}
+	if d.err != nil {
+		t.Fatalf("error surfaced in the cycle that served the final message: %v", d.err)
+	}
+	if d.mail.Load() {
+		t.Fatal("mail flag still set after the drain took the batch")
+	}
+
+	d.drain(k)
+	if d.err == nil {
+		t.Fatal("reader error that arrived with the last message never surfaced")
+	}
+	if !errors.Is(d.err, io.ErrUnexpectedEOF) {
+		t.Fatalf("scheme error %v does not wrap io.ErrUnexpectedEOF", d.err)
+	}
+}
+
+// TestQuietCycleTakesNoLock: with no mail posted, neither the drain nor
+// the mid-quantum inbox scan touches d.mu. The test holds the lock for
+// the duration; a drain that tried to take it would never return.
+func TestQuietCycleTakesNoLock(t *testing.T) {
+	k, d, _ := newTestDriverKernel(t, DriverKernelOptions{
+		Ports: []VarBinding{{Port: "in", Dir: ToSystemC, Size: 4}},
+	})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	done := make(chan bool)
+	go func() {
+		d.drain(k)
+		d.quantum, d.nextQuantum = 100*sim.NS, sim.US // mid-quantum
+		done <- d.quantumSync(k)
+	}()
+	select {
+	case due := <-done:
+		if due {
+			t.Error("a quiet mid-quantum cycle asked for a sync")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a quiet cycle blocked on the inbox lock")
+	}
+	if d.stats.Polls != 1 || d.err != nil {
+		t.Fatalf("polls = %d, err = %v; want one clean poll", d.stats.Polls, d.err)
+	}
+}
+
+// TestDrainReusesInbox: the drain hands the readers the slice it last
+// finished iterating, so a steady message stream appends into reused
+// storage instead of growing a fresh inbox each batch.
+func TestDrainReusesInbox(t *testing.T) {
+	k, d, guest := newTestDriverKernel(t, DriverKernelOptions{
+		Ports: []VarBinding{{Port: "in", Dir: ToSystemC, Size: 4}},
+	})
+	batch := func(n int) {
+		t.Helper()
+		go func() {
+			for i := 0; i < n; i++ {
+				_ = WriteMessage(guest, Message{Type: MsgWrite, Cycles: uint32(i), Port: "in", Data: []byte{1, 2, 3, 4}})
+			}
+		}()
+		waitInbox(t, d, n)
+		d.drain(k)
+	}
+	batch(4) // grows the first inbox
+	batch(4) // grows the second; the first becomes the spare
+	d.mu.Lock()
+	inbox := d.inbox
+	d.mu.Unlock()
+	if cap(inbox) < 4 {
+		t.Fatalf("inbox after two drains has cap %d, want the reused first batch's storage", cap(inbox))
+	}
+	if d.err != nil || d.stats.Messages != 8 {
+		t.Fatalf("messages = %d, err = %v", d.stats.Messages, d.err)
+	}
+}

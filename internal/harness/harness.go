@@ -158,6 +158,12 @@ type Params struct {
 	// Obs, when set, is the observability registry the run populates;
 	// when nil, Run creates one (Result.Obs always holds it).
 	Obs *obs.Registry
+	// Timing turns on the wall-clock timers (sim.cycle_hook_ns,
+	// driver.skew_wait_ns, cosim.skew_wait_ns): Run enables timing on
+	// the run's registry before anything attaches to it. Off by default,
+	// so an untimed run reads no clock per simulation cycle and its
+	// snapshot has no *_ns keys; counters and gauges are always on.
+	Timing bool
 }
 
 // WithDefaults returns p with every zero field replaced by the run
@@ -271,6 +277,9 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 	reg := p.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
+	}
+	if p.Timing {
+		reg.EnableTiming()
 	}
 	// All channel pairs below go through the observed transport so the
 	// run's registry records per-backend pair and byte counters.

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"errors"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"cosim/internal/core"
@@ -37,6 +40,7 @@ func TestObsCountersConsistentAcrossSchemes(t *testing.T) {
 				SimTime:   sim.MS,
 				Seed:      7,
 				Journal:   jl,
+				Timing:    true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -117,6 +121,79 @@ func TestObsCountersConsistentAcrossSchemes(t *testing.T) {
 				if max := 2*polls + 10*stops + 100; rts > max {
 					t.Errorf("rsp.round_trips = %d > %d; per-cycle transaction bound broken", rts, max)
 				}
+			}
+		})
+	}
+}
+
+// timerKey reports whether a flattened snapshot key belongs to a
+// wall-clock timer (a *_ns histogram).
+func timerKey(name string) bool {
+	for _, suffix := range []string{"_ns.count", "_ns.sum", "_ns.max"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTimersOffByDefault pins the timing switch: a default run's
+// snapshot carries no *_ns timer keys, a Timing run carries the cycle
+// hook timer and its scheme's skew-wait timer, and the two snapshots
+// otherwise have the same keys.
+func TestTimersOffByDefault(t *testing.T) {
+	wantTimers := map[Scheme][]string{
+		GDBWrapper:   {"sim.cycle_hook_ns", "cosim.skew_wait_ns"},
+		GDBKernel:    {"sim.cycle_hook_ns", "cosim.skew_wait_ns"},
+		DriverKernel: {"sim.cycle_hook_ns", "driver.skew_wait_ns"},
+	}
+	for _, s := range Schemes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
+			t.Parallel()
+			run := func(timing bool) map[string]uint64 {
+				res, err := Run(Params{
+					Scheme:    s,
+					Transport: core.TransportRing,
+					SimTime:   200 * sim.US,
+					Seed:      7,
+					Timing:    timing,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Counters
+			}
+			untimed, timed := run(false), run(true)
+			for name := range untimed {
+				if timerKey(name) {
+					t.Errorf("untimed run has timer key %q", name)
+				}
+			}
+			for _, h := range wantTimers[s] {
+				for _, suffix := range []string{".count", ".sum", ".max"} {
+					if _, ok := timed[h+suffix]; !ok {
+						t.Errorf("timed run lacks %s%s", h, suffix)
+					}
+				}
+			}
+			if timed["sim.cycle_hook_ns.count"] == 0 {
+				t.Error("timed run: sim.cycle_hook_ns.count = 0, want > 0")
+			}
+			var want []string
+			for name := range timed {
+				if !timerKey(name) {
+					want = append(want, name)
+				}
+			}
+			var got []string
+			for name := range untimed {
+				got = append(got, name)
+			}
+			sort.Strings(want)
+			sort.Strings(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("untimed keys differ from timed keys without timers:\n got %v\nwant %v", got, want)
 			}
 		})
 	}

@@ -63,6 +63,9 @@ type Spec struct {
 	// the cadence: a workload that does not complete every packet can
 	// forward a different count at each quantum (ROADMAP.md, item 1).
 	Quantum string `json:"quantum,omitempty"`
+
+	// Timing turns on the run's wall-clock timers (Params.Timing).
+	Timing bool `json:"timing,omitempty"`
 }
 
 // timeField parses one optional duration field. Empty decodes to zero,
@@ -154,6 +157,7 @@ func (s Spec) Params() (Params, error) {
 		NoDecodeCache:    s.NoDecodeCache,
 		DMI:              s.DMI,
 		Coalesce:         s.Coalesce,
+		Timing:           s.Timing,
 	}
 	if s.Transport != "" {
 		tr, err := core.ParseTransport(s.Transport)
@@ -213,6 +217,7 @@ func SpecFromParams(p Params) Spec {
 		DMI:              p.DMI,
 		Coalesce:         p.Coalesce,
 		Quantum:          timeStr(p.Quantum),
+		Timing:           p.Timing,
 	}
 	if p.Transport != nil {
 		s.Transport = core.TransportName(p.Transport)

@@ -30,6 +30,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Seed:             42,
 		NoDecodeCache:    true,
 		Quantum:          "100ns",
+		Timing:           true,
 	}
 	data, err := json.Marshal(orig)
 	if err != nil {
@@ -41,6 +42,12 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, back) {
 		t.Fatalf("round trip mutated the spec:\n  orig %+v\n  back %+v", orig, back)
+	}
+	if !strings.Contains(string(data), `"timing":true`) {
+		t.Fatalf("encoded spec %s lacks \"timing\":true", data)
+	}
+	if p, err := back.Params(); err != nil || !p.Timing {
+		t.Fatalf("decoded spec materialised Timing = %v (err %v), want true", p.Timing, err)
 	}
 }
 
@@ -78,7 +85,7 @@ func TestSpecParamsRoundTrip(t *testing.T) {
 		SimTime: 2 * sim.MS, CPUPeriod: 10 * sim.NS,
 		CPUs: 3, Delay: 5 * sim.US, PayloadWords: 6,
 		ErrorRate: 0.1, FifoDepth: 4, PacketsPerSource: 9, Seed: 11,
-		DMI: true, Coalesce: true, Quantum: 100 * sim.NS,
+		DMI: true, Coalesce: true, Quantum: 100 * sim.NS, Timing: true,
 	}
 	back, err := SpecFromParams(orig).Params()
 	if err != nil {

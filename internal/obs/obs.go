@@ -9,6 +9,11 @@
 // unconditionally. With a live registry the update is a single atomic
 // add — no locks, no allocations.
 //
+// Counters and gauges are always live. Histograms are wall-clock timers
+// read only by a traced ledger, so a registry hands them out only after
+// EnableTiming; until then Histogram returns nil, and a span on it is
+// one nil check with no clock read.
+//
 // Metric names are dotted strings, grouped by subsystem:
 //
 //	rsp.*    — GDB remote-protocol traffic (internal/gdb)
@@ -192,6 +197,7 @@ func bucketLe(i int) uint64 {
 // guards at the instrumentation sites.
 type Registry struct {
 	mu       sync.Mutex
+	timing   bool                  // guarded by mu
 	counters map[string]*Counter   // guarded by mu
 	gauges   map[string]*Gauge     // guarded by mu
 	hists    map[string]*Histogram // guarded by mu
@@ -238,14 +244,30 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// EnableTiming makes Histogram hand out live histograms from now on.
+// Call it before instrumented code resolves its metrics: a histogram
+// looked up earlier stays nil. No-op on a nil registry.
+func (r *Registry) EnableTiming() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.timing = true
+	r.mu.Unlock()
+}
+
 // Histogram returns the named histogram, creating it on first use.
-// Returns nil when r is nil.
+// Returns nil (a valid no-op histogram) when r is nil or timing is not
+// enabled on it.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if !r.timing {
+		return nil
+	}
 	h, ok := r.hists[name]
 	if !ok {
 		h = &Histogram{}

@@ -26,8 +26,15 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
+// timedRegistry returns a registry that hands out live histograms.
+func timedRegistry() *Registry {
 	r := NewRegistry()
+	r.EnableTiming()
+	return r
+}
+
+func TestHistogramBuckets(t *testing.T) {
+	r := timedRegistry()
 	h := r.Histogram("lat")
 	for _, v := range []uint64{0, 1, 2, 3, 4, 1000} {
 		h.Observe(v)
@@ -79,6 +86,41 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestUntimedRegistryHandsOutNoHistograms pins the default: counters
+// and gauges are live, histograms are nil, spans on them are inert, and
+// the snapshot carries no histogram keys.
+func TestUntimedRegistryHandsOutNoHistograms(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Inc()
+	r.Gauge("g").Set(2)
+	h := r.Histogram("span_ns")
+	if h != nil {
+		t.Fatal("untimed registry returned a live histogram")
+	}
+	sp := h.Start()
+	if sp != (Span{}) {
+		t.Fatalf("span on an untimed histogram = %+v, want the inert zero span", sp)
+	}
+	sp.End()
+	h.Observe(5)
+	flat := r.Snapshot().Flatten()
+	want := map[string]uint64{"c": 1, "g": 2}
+	if len(flat) != len(want) || flat["c"] != 1 || flat["g"] != 2 {
+		t.Fatalf("untimed snapshot = %v, want %v", flat, want)
+	}
+
+	// Timing applies to lookups made after it is enabled.
+	r.EnableTiming()
+	if r.Histogram("span_ns") == nil {
+		t.Fatal("timed registry returned a nil histogram")
+	}
+	var nilReg *Registry
+	nilReg.EnableTiming()
+	if nilReg.Histogram("x") != nil {
+		t.Fatal("nil registry returned a live histogram")
+	}
+}
+
 func TestDisabledHotPathZeroAllocs(t *testing.T) {
 	var r *Registry
 	c := r.Counter("hot")
@@ -96,7 +138,7 @@ func TestDisabledHotPathZeroAllocs(t *testing.T) {
 }
 
 func TestEnabledHotPathZeroAllocs(t *testing.T) {
-	r := NewRegistry()
+	r := timedRegistry()
 	c := r.Counter("hot")
 	h := r.Histogram("hot_ns")
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -109,7 +151,7 @@ func TestEnabledHotPathZeroAllocs(t *testing.T) {
 }
 
 func TestSpanObservesElapsed(t *testing.T) {
-	r := NewRegistry()
+	r := timedRegistry()
 	h := r.Histogram("span_ns")
 	sp := h.Start()
 	time.Sleep(time.Millisecond)
@@ -123,7 +165,7 @@ func TestSpanObservesElapsed(t *testing.T) {
 }
 
 func TestSnapshotFlattenAndJSON(t *testing.T) {
-	r := NewRegistry()
+	r := timedRegistry()
 	r.Counter("driver.messages").Add(10)
 	r.Gauge("sim.cycles").Set(42)
 	r.Histogram("sim.cycle_hook_ns").Observe(100)
@@ -141,7 +183,7 @@ func TestSnapshotFlattenAndJSON(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	r := NewRegistry()
+	r := timedRegistry()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -181,16 +223,27 @@ func BenchmarkCounterDisabled(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("h")
+	h := timedRegistry().Histogram("h")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(uint64(i))
 	}
 }
 
-// BenchmarkSpan is one Start/End pair on a live histogram: the cost the
-// kernel pays twice per simulation cycle for sim.cycle_hook_ns.
+// BenchmarkSpan is one Start/End pair on a live histogram: what the
+// kernel pays per simulation cycle for sim.cycle_hook_ns when timing is
+// enabled.
 func BenchmarkSpan(b *testing.B) {
+	h := timedRegistry().Histogram("span_ns")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Start().End()
+	}
+}
+
+// BenchmarkSpanUntimed is the same pair on an untimed registry's
+// histogram, which is nil: the per-cycle cost of a default run.
+func BenchmarkSpanUntimed(b *testing.B) {
 	h := NewRegistry().Histogram("span_ns")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -11,13 +11,31 @@ type allocToken struct{ n int }
 // TestKernelSteadyStateAllocs pins the scheduler's steady state at zero
 // allocations: once the queues have grown to the model's working set,
 // evaluate, update, delta-notify, timed advance, thread switches, CallAt
-// and the per-cycle obs span reuse what they have.
+// and the per-cycle obs span reuse what they have, with the cycle-hook
+// timer on and off.
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
+	for _, timing := range []bool{false, true} {
+		name := "untimed"
+		if timing {
+			name = "timed"
+		}
+		t.Run(name, func(t *testing.T) { testKernelSteadyStateAllocs(t, timing) })
+	}
+}
+
+func testKernelSteadyStateAllocs(t *testing.T, timing bool) {
 	k := NewKernel("alloc")
-	k.SetObs(obs.NewRegistry())
+	reg := obs.NewRegistry()
+	if timing {
+		reg.EnableTiming()
+	}
+	k.SetObs(reg)
+	if (k.hookNS != nil) != timing {
+		t.Fatalf("timing %v: cycle-hook histogram attached = %v", timing, k.hookNS != nil)
+	}
 	t.Cleanup(k.Shutdown)
 
 	clk := NewClock(k, "clk", 10*NS)

@@ -33,9 +33,10 @@ type Kernel struct {
 	cycleCount  uint64 // total timed simulation cycles executed
 	activations uint64 // total process activations executed
 
-	// hookNS, when set via SetObs, receives the wall-clock latency of
-	// the begin-of-cycle hook chain — the per-cycle cost the paper's
-	// kernel-embedded schemes add to the scheduler.
+	// hookNS, when set via SetObs on a timed registry, receives the
+	// wall-clock latency of the begin-of-cycle hook chain — the
+	// per-cycle cost the paper's kernel-embedded schemes add to the
+	// scheduler. Nil otherwise, which skips the clock reads.
 	hookNS *obs.Histogram
 
 	// The scheduler queues are reused for the whole run so the steady
@@ -96,10 +97,11 @@ func (k *Kernel) CycleCount() uint64 { return k.cycleCount }
 // Activations returns the number of process activations executed so far.
 func (k *Kernel) Activations() uint64 { return k.activations }
 
-// SetObs attaches an observability registry to the kernel: the
-// begin-of-cycle hook chain is timed into the "sim.cycle_hook_ns"
-// histogram. A nil registry detaches (and removes the per-cycle timing
-// entirely).
+// SetObs attaches an observability registry to the kernel: when timing
+// is enabled on it (obs.Registry.EnableTiming), the begin-of-cycle hook
+// chain is timed into the "sim.cycle_hook_ns" histogram. An untimed or
+// nil registry hands out a nil histogram, so the per-cycle span costs
+// one nil check and reads no clock.
 func (k *Kernel) SetObs(r *obs.Registry) {
 	k.hookNS = r.Histogram("sim.cycle_hook_ns")
 }
